@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,8 +45,20 @@ from .selberg import linnik_bound, selberg_upper_bound
 PROBLEM_KEYS = ("x", "y", "N", "k", "l", "r")
 
 
+# The exponent stays under five digits, so a flag cannot ask for an integer
+# with billions of digits.
+_INT_TEXT = re.compile(r"[+-]?\d+(\.\d*)?([eE][+-]?\d{1,4})?")
+
+
 def _int(s) -> int:
-    return int(float(s))
+    """An integer flag, parsed exactly: 12, 1e4 and 1.5e3 pass; 10.7 and 1e-2 raise ValueError."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
+    text = str(s).strip()
+    value = Fraction(text) if _INT_TEXT.fullmatch(text) else None
+    if value is None or value.denominator != 1:
+        raise ValueError(f"expected an integer, got {s!r}")
+    return value.numerator
 
 
 def _problem_from_args(args, *, need_table_to: int | None = None):
@@ -170,7 +184,7 @@ def cmd_chen(args) -> int:
     if args.bigN is not None:
         ns.append(_int(args.bigN))
     if args.N_range:
-        start, stop, step = (int(float(v)) for v in args.N_range.split(":"))
+        start, stop, step = (_int(v) for v in args.N_range.split(":"))
         ns.extend(range(start, stop, step))
     if not ns:
         raise ValueError("chen needs --N or --N-range")

@@ -64,9 +64,29 @@ def farey_points(Q: int) -> SeparatedPoints:
     return SeparatedPoints(tuple(sorted(pts)), Fraction(1, Q * (Q - 1)))
 
 
-def _phase_matrix(theta: np.ndarray, M: int, N: int) -> np.ndarray:
-    n = np.arange(M, M + N)
-    return np.exp(2j * np.pi * np.outer(theta, n))
+def _phase_groups(points: SeparatedPoints, M: int, N: int):
+    """Yield (rows, table, cols) with e(n t_j) = table[k, cols[n - M]] for j = rows[k].
+
+    Points are grouped by their exact denominator q.  For a/q the phase
+    depends only on n mod q, so a group with q < N gets one period table
+    e((a r mod q) / q) over r in [0, q), its exponent reduced exactly in
+    integers.  A group with q >= N (float points with long binary
+    denominators among them) gains nothing from folding and is evaluated
+    on n directly.  Memory is O(N + max_q |A_q| min(q, N)).
+    """
+    n = np.arange(M, M + N, dtype=np.int64)
+    fracs = [Fraction(t) for t in points.points]
+    groups: dict[int, list[int]] = {}
+    for j, t in enumerate(fracs):
+        groups.setdefault(t.denominator, []).append(j)
+    for q, rows in groups.items():
+        if q < N:
+            a = np.array([fracs[j].numerator % q for j in rows], dtype=np.int64)
+            r = np.arange(q, dtype=np.int64)
+            yield rows, np.exp(2j * np.pi * (a[:, None] * r % q) / q), n % q
+        else:
+            theta = np.array([float(points.points[j]) for j in rows])
+            yield rows, np.exp(2j * np.pi * theta[:, None] * n), np.arange(N)
 
 
 def additive_ls_check(points: SeparatedPoints, coefficients, M: int = 0) -> tuple[float, float, float]:
@@ -80,8 +100,12 @@ def additive_ls_check(points: SeparatedPoints, coefficients, M: int = 0) -> tupl
     N = len(a)
     if N == 0:
         raise ValueError("empty coefficient vector")
-    E = _phase_matrix(points.as_floats(), M, N)
-    lhs = float(np.sum(np.abs(E @ a) ** 2))
+    lhs = 0.0
+    for _rows, table, cols in _phase_groups(points, M, N):
+        width = table.shape[1]
+        folded = (np.bincount(cols, weights=a.real, minlength=width)
+                  + 1j * np.bincount(cols, weights=a.imag, minlength=width))
+        lhs += float(np.sum(np.abs(table @ folded) ** 2))
     rhs = float((N - 1 + 1 / points.delta) * np.sum(np.abs(a) ** 2))
     ratio = 0.0 if rhs == 0 else lhs / rhs
     return lhs, rhs, ratio
@@ -92,8 +116,10 @@ def dual_ls_check(points: SeparatedPoints, point_coefficients, M: int, N: int) -
     b = np.asarray(point_coefficients, dtype=complex)
     if len(b) != len(points.points):
         raise ValueError("one coefficient per point required")
-    E = _phase_matrix(points.as_floats(), M, N)
-    lhs = float(np.sum(np.abs(E.T @ b) ** 2))
+    values = np.zeros(N, dtype=complex)
+    for rows, table, cols in _phase_groups(points, M, N):
+        values += (table.T @ b[rows])[cols]
+    lhs = float(np.sum(np.abs(values) ** 2))
     rhs = float((N - 1 + 1 / points.delta) * np.sum(np.abs(b) ** 2))
     ratio = 0.0 if rhs == 0 else lhs / rhs
     return lhs, rhs, ratio
@@ -359,5 +385,7 @@ def duality_rayleigh(points: SeparatedPoints, M: int, N: int, *, tol: float = 1e
     pair must agree (up to iteration tolerance); this is the numerical
     content of the adjoint-norm equality.
     """
-    E = _phase_matrix(points.as_floats(), M, N)
+    E = np.empty((len(points.points), N), dtype=complex)
+    for rows, table, cols in _phase_groups(points, M, N):
+        E[rows] = table[:, cols]
     return power_iteration_norm(E, tol=tol), power_iteration_norm(E.conj().T, tol=tol)

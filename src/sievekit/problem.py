@@ -229,6 +229,7 @@ class SieveProblem:
         hi: int | None = None,
         explicit: np.ndarray | None = None,
         residues: ResidueSystem | None = None,
+        residue_z: int = _PROFILE_Z,
         omega_interval: tuple[int, int] | None = None,
         table: PrimeTable | None = None,
     ):
@@ -242,6 +243,7 @@ class SieveProblem:
         self._hi = hi
         self._explicit = explicit
         self.residues = residues
+        self._residue_z = residue_z
         self._omega_interval = omega_interval
         self._table = table
         self._values: np.ndarray | None = explicit
@@ -347,12 +349,20 @@ class SieveProblem:
 
     # -- residue-class (Omega) form --------------------------------------
 
-    def omega_form(self) -> OmegaForm:
-        """The equivalent interval-plus-residue-classes description."""
+    def omega_form(self, z: int | None = None) -> OmegaForm:
+        """The equivalent interval-plus-residue-classes description.
+
+        The stored residue classes cover the primes below the window the
+        problem was built with; a larger ``z`` extends them to every prime
+        below z, so sifting at z sees all of its primes.
+        """
         if self._omega_interval is None or self.residues is None:
             raise ValueError(f"kind {self.kind!r} has no residue-class form")
         M, N = self._omega_interval
-        return OmegaForm(M, N, self.residues)
+        residues = self.residues
+        if z is not None and z > self._residue_z:
+            residues = _affine_residues(self.kind, self.params, z)
+        return OmegaForm(M, N, residues)
 
     # -- serialization ----------------------------------------------------
 
@@ -398,7 +408,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         prob = SieveProblem(
             kind, {"x": x, "y": y}, Fraction(y), SiftingDensity.unit(1.0),
             lo=lo, hi=hi,
-            residues=_affine_residues(kind, params, residue_z),
+            residues=_affine_residues(kind, params, residue_z), residue_z=residue_z,
             omega_interval=(lo, y),
         )
         return prob
@@ -410,7 +420,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         return SieveProblem(
             kind, {"x": x}, Fraction(x), dens,
             lo=1, hi=x - 2,
-            residues=_affine_residues(kind, params, residue_z),
+            residues=_affine_residues(kind, params, residue_z), residue_z=residue_z,
             omega_interval=(1, x - 3),
         )
     if kind == "goldbach":
@@ -421,7 +431,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         return SieveProblem(
             kind, {"N": N}, Fraction(N), dens,
             lo=3, hi=N - 2,
-            residues=_affine_residues(kind, params, residue_z),
+            residues=_affine_residues(kind, params, residue_z), residue_z=residue_z,
             omega_interval=(3, N - 5),
         )
     if kind == "shifted_prime":
@@ -446,7 +456,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         return SieveProblem(
             kind, {"x": x, "k": k, "l": l}, Fraction(x, k), dens,
             lo=lo, hi=x,
-            residues=_affine_residues(kind, {"k": k, "l": l}, residue_z),
+            residues=_affine_residues(kind, {"k": k, "l": l}, residue_z), residue_z=residue_z,
             omega_interval=((first - l) // k if count else 0, count),
         )
     if kind == "parity":

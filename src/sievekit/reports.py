@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,10 +86,11 @@ def write_rows(rows: list[dict], path: str | None, fmt: str) -> str:
             for k in row:
                 if k not in keys:
                     keys.append(k)
-        lines = [",".join(keys)]
-        for row in rows:
-            lines.append(",".join(format_number(row.get(k, "")) for k in keys))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([format_number(row.get(k, "")) for k in keys] for row in rows)
+        text = buf.getvalue()
     else:
         normalized = [{k: (format_number(v) if isinstance(v, float) else v) for k, v in row.items()} for row in rows]
         text = json.dumps(normalized, indent=2) + "\n"

@@ -183,11 +183,11 @@ def invert_xi(xi: dict[int, Fraction], residues: ResidueSystem, z: int) -> dict[
     return out
 
 
-def _as_form(problem) -> OmegaForm:
+def _as_form(problem, z: int) -> OmegaForm:
     if isinstance(problem, OmegaForm):
         return problem
     if isinstance(problem, SieveProblem):
-        return problem.omega_form()
+        return problem.omega_form(z)
     raise TypeError("expected a SieveProblem with a residue form or an OmegaForm")
 
 
@@ -226,7 +226,7 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False, validate: 
     swaps in the crude (sum |Omega(d)|)^2 estimate and ``approx_remainder``
     trades exact rationals for floats at large z.
     """
-    form = _as_form(problem)
+    form = _as_form(problem, z)
     weights = optimal_lambda(z, form.residues, validate=validate)
     main = Fraction(form.N) / weights.G
     if worst_case:
@@ -341,11 +341,12 @@ def linnik_bound(problem, z: int, *, check_dual: bool = True, rel_tol: float = 1
     complex b values, and (c) the interval energy inequality instance of
     the additive large sieve on this data.
     """
-    form = _as_form(problem)
+    form = _as_form(problem, z)
     weights = optimal_lambda(z, form.residues, validate=False)
     S = quadratic_form(weights, form.residues, check_diagonal=False)
     if S != 1 / weights.G:
         raise AssertionError("optimal weights missed the quadratic-form minimum")
+    exact = form.sift_count(z)
     if check_dual:
         dual = dual_coefficient_sum(weights, form.residues)
         if dual != S:
@@ -354,9 +355,8 @@ def linnik_bound(problem, z: int, *, check_dual: bool = True, rel_tol: float = 1
         energy = float(np.sum(np.abs(b) ** 2))
         if abs(energy - float(S)) > rel_tol * max(1.0, float(S)):
             raise AssertionError("complex dual energy drifted from the exact form")
-        _additive_instance_check(form, points, b, z)
+        _additive_instance_check(form, points, b, exact)
     bound = (form.N + Fraction(z) ** 2) * S
-    exact = form.sift_count(z)
     desc = problem.describe() if isinstance(problem, SieveProblem) else f"interval[{form.M},{form.M + form.N})"
     return BoundReport(
         method="linnik",
@@ -370,13 +370,13 @@ def linnik_bound(problem, z: int, *, check_dual: bool = True, rel_tol: float = 1
     )
 
 
-def _additive_instance_check(form: OmegaForm, points, b, z: int) -> None:
+def _additive_instance_check(form: OmegaForm, points, b, exact: int) -> None:
     """The interval energy of the dual expansion sandwiches correctly.
 
     Pointwise the squared expansion dominates the survivor indicator, so
-    its interval energy is at least the survivor count; dually the additive
-    large-sieve inequality caps it by (N - 1 + 1/delta) times the
-    coefficient energy.
+    its interval energy is at least the survivor count ``exact``; dually
+    the additive large-sieve inequality caps it by (N - 1 + 1/delta) times
+    the coefficient energy.
     """
     from .largesieve import SeparatedPoints, dual_ls_check, min_circular_distance
 
@@ -386,9 +386,8 @@ def _additive_instance_check(form: OmegaForm, points, b, z: int) -> None:
         if ratio > 1 + 1e-12:
             raise AssertionError("additive large-sieve instance violated")
     else:
-        n = np.arange(form.M, form.M + form.N)
-        lhs = float(np.sum(np.abs(b[0] * np.exp(2j * np.pi * n * float(points[0]))) ** 2))
-    exact = form.sift_count(z)
+        # one point: |b e(n t)|^2 = |b|^2 at every n
+        lhs = form.N * abs(b[0]) ** 2
     if lhs < exact - 1e-9 * max(1.0, exact):
         raise AssertionError("interval energy fell below the survivor count")
 

@@ -375,7 +375,7 @@ def test_criterion_7_trend_toward_constant():
     strict=True,
     reason="the raw ratio approaches 16*prod(1 - 1/(p-1)^2) from below at desk "
     "scale (verified out to 1e16), so the literal monotone-decrease reading "
-    "cannot hold; see notes/decisions.md",
+    "cannot hold; see the README \"Conventions\" note",
 )
 def test_criterion_7_literal_monotone_decrease():
     ratios = _twin_ratios()

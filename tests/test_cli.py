@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -9,6 +11,10 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def test_sift_csv(capsys):
@@ -25,8 +31,7 @@ def test_bound_selberg_twin(capsys):
         capsys,
     )
     assert code == 0
-    header, row = out.strip().splitlines()
-    cols = dict(zip(header.split(","), row.split(",")))
+    [cols] = csv_rows(out)
     assert cols["verdict"] == "valid"
     assert float(cols["bound"]) >= float(cols["exact"])
 
@@ -47,11 +52,47 @@ def test_json_and_csv_numeric_content_match(capsys, tmp_path):
     assert code == 0
     code, json_out = run(argv + ["--format", "json"], capsys)
     assert code == 0
-    header, row = csv_out.strip().splitlines()
-    csv_cols = dict(zip(header.split(","), row.split(",")))
+    [csv_cols] = csv_rows(csv_out)
     json_cols = json.loads(json_out)[0]
     for key, val in json_cols.items():
         assert str(val) == csv_cols[key]
+
+
+@pytest.mark.parametrize("problem", [
+    ["--problem", "interval", "--x", "1000", "--y", "500"],
+    ["--problem", "twin", "--x", "1000"],
+    ["--problem", "goldbach", "--N", "1000"],
+    ["--problem", "shifted_prime", "--x", "1000"],
+    ["--problem", "progression", "--x", "1000", "--k", "7", "--l", "3"],
+    ["--problem", "parity", "--x", "1000", "--r", "1"],
+], ids=lambda argv: argv[1])
+def test_csv_round_trips_every_kind(problem, capsys):
+    argv = ["bound", "--method", "legendre", *problem, "--z", "10,20"]
+    code, csv_out = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    code, json_out = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    rows = csv_rows(csv_out)
+    json_rows = json.loads(json_out)
+    assert len(rows) == len(json_rows) == 2
+    for csv_cols, json_cols in zip(rows, json_rows):
+        assert csv_cols == {key: str(val) for key, val in json_cols.items()}
+        assert csv_cols["problem"].startswith(problem[1] + "(")
+
+
+def test_integer_flags_parse_exactly(capsys):
+    big = 2**53 + 1  # float() would round it to 2^53
+    code, out = run(["sift", "--problem", "interval", "--x", str(big), "--y", "100", "--z", "2",
+                     "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == [{"problem": f"interval(x={big},y=100)", "z": 2, "survivors": 100}]
+    code, out = run(["sift", "--problem", "twin", "--x", "1e4", "--z", "1e1", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)[0]["problem"] == "twin(x=10000)"
+    assert json.loads(out)[0]["z"] == 10
+    assert main(["sift", "--problem", "interval", "--x", "10.7", "--y", "5", "--z", "2"]) == 2
+    assert main(["sift", "--problem", "interval", "--x", "100", "--y", "5", "--z", "2.5"]) == 2
+    assert main(["chen", "--N-range", "10000:10010.5:2"]) == 2
 
 
 def test_deterministic_lsieve(capsys):
@@ -67,11 +108,10 @@ def test_deterministic_lsieve(capsys):
 def test_sievefun_csv(capsys):
     code, out = run(["sievefun", "--tau-max", "4", "--step", "1e-3"], capsys)
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "tau,phi0,phi1"
+    assert out.startswith("tau,phi0,phi1\n")
     # the tau = 2 row carries phi1(2) = e^gamma
-    row2 = next(l for l in lines if l.startswith("2,"))
-    assert row2.split(",")[2].startswith("1.78107241799")
+    row2 = next(r for r in csv_rows(out) if r["tau"] == "2")
+    assert row2["phi1"].startswith("1.78107241799")
 
 
 def test_chen_command(capsys):

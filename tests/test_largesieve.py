@@ -74,6 +74,31 @@ def test_additive_random_trials():
         assert ratio <= 1 + 1e-12
 
 
+def _dense_phases(points, M, N):
+    """Reference e(n t) over all points x [M, M+N), one float outer product."""
+    n = np.arange(M, M + N)
+    return np.exp(2j * np.pi * np.outer(np.array([float(t) for t in points]), n))
+
+
+def test_folded_energies_match_dense_reference():
+    # Folding by denominator against the dense matrix: N = 1 and N = 7 put
+    # most Farey denominators on the q >= N path, floats with long binary
+    # denominators always take it, and 0.25 / 0.75 fold with q = 4.
+    rng = np.random.default_rng(8)
+    cases = [farey_points(Q) for Q in (2, 5, 10, 23, 40)]
+    cases.append(SeparatedPoints((Fraction(2, 7),), Fraction(1, 2)))
+    cases.append(SeparatedPoints((0.1, 0.25, 0.6180339887, 0.75), 0.1))
+    for pts in cases:
+        for M, N in ((0, 1), (-37, 7), (3, 40), (-1000, 257)):
+            E = _dense_phases(pts.points, M, N)
+            a = rng.normal(size=N) + 1j * rng.normal(size=N)
+            b = rng.normal(size=len(pts.points)) + 1j * rng.normal(size=len(pts.points))
+            lhs, _, _ = additive_ls_check(pts, a, M)
+            assert lhs == pytest.approx(float(np.sum(np.abs(E @ a) ** 2)), rel=1e-10)
+            lhs, _, _ = dual_ls_check(pts, b, M, N)
+            assert lhs == pytest.approx(float(np.sum(np.abs(E.T @ b) ** 2)), rel=1e-10)
+
+
 def test_dual_random_trials():
     rng = np.random.default_rng(3)
     pts = farey_points(8)

@@ -200,6 +200,16 @@ def test_linnik_bound_twin_style():
     assert rep.verdict == "valid"
 
 
+def test_bounds_above_profile_window_sift_every_prime():
+    # the stored residue classes stop at 53; z = 60 must still sift by 53 and 59
+    prob = build_problem("twin", {"x": 10**5})
+    exact = exact_sift(prob, 60)
+    assert exact == 2371
+    for rep in (selberg_upper_bound(prob, 60), linnik_bound(prob, 60)):
+        assert rep.exact == exact
+        assert rep.bound >= exact
+
+
 def test_short_interval_prime_bound():
     # primes in (x-y, x]: the dual-route bound lands within the classical
     # factor-2 shape of y / log y (2.5 absorbs desk-scale drift)
