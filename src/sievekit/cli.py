@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,9 @@
 A :class:`SieveProblem` packages a finite integer sequence ``A`` together
 with its multiplicative density ``omega``, a scale ``X`` and (for affine
 kinds) an equivalent residue-class description.  ``exact_sift`` is the
-brute-force oracle every bound in the package is compared against.
+exact oracle every bound in the package is compared against: a segmented
+residue sieve over the index range for the affine kinds, a divisibility
+scan of the element values for the explicit ones.
 
 Supported kinds:
 
@@ -29,8 +31,12 @@ from .arith import BudgetError, PrimeTable, factorize, li, primes_up_to_simple, 
 
 KINDS = ("interval", "twin", "goldbach", "shifted_prime", "progression", "parity", "custom")
 
+# Most elements one oracle count may visit.  The affine kinds stream their
+# index range in blocks, so there it bounds work, not memory; the explicit
+# kinds still hold every value in an int64 array.
 ORACLE_ELEMENT_CAP = 2 * 10**7
 _PROFILE_Z = 53  # oracle profiles cover sifting primes below this bound
+_BLOCK = 1 << 18  # index positions per block of the affine residue sieve
 
 
 def _as_fraction(x) -> Fraction:
@@ -131,28 +137,66 @@ class ResidueSystem:
 
 @dataclass(frozen=True)
 class OmegaForm:
-    """Interval [M, M+N) sifted by forbidden residue classes."""
+    """Interval [M, M+N) sifted by forbidden residue classes.
+
+    Every count is made by one segmented residue sieve: the index range is
+    walked in blocks of ``_BLOCK`` positions, and inside a block each class
+    r mod p is struck with the strided slice ``buf[(r - start) % p :: p]``.
+    Counts hold one block at a time, whatever M and N; no element value is
+    formed, so indices past 2^63 are fine.
+    """
 
     M: int
     N: int
     residues: ResidueSystem
 
-    def values(self) -> np.ndarray:
-        return np.arange(self.M, self.M + self.N, dtype=np.int64)
+    def _marked_blocks(self, marks, nbits: int):
+        """Yield one buffer per block, ORing ``bit`` at every index in a class mod p.
+
+        ``marks`` lists (p, bit) pairs; ``nbits`` bounds the bits in use and
+        so the buffer dtype.  Raises BudgetError before any work when N
+        exceeds ``ORACLE_ELEMENT_CAP``.
+        """
+        if self.N > ORACLE_ELEMENT_CAP:
+            raise BudgetError(f"{self.N} elements exceed the oracle cap {ORACLE_ELEMENT_CAP}")
+        dtype = np.min_scalar_type((1 << nbits) - 1)
+        end = self.M + self.N
+        for start in range(self.M, end, _BLOCK):
+            buf = np.zeros(min(_BLOCK, end - start), dtype=dtype)
+            for p, bit in marks:
+                for r in self.residues.classes.get(p, ()):
+                    buf[(r - start) % p :: p] |= bit
+            yield buf
+
+    def _survivor_blocks(self, z: int, d_primes=()):
+        """Block masks of the indices lying in a class mod every p | d and in none mod p < z."""
+        marks = [(p, 1) for p in self.residues.primes() if p < z]
+        marks += [(p, 2 << j) for j, p in enumerate(d_primes)]
+        want = (2 << len(d_primes)) - 2
+        for buf in self._marked_blocks(marks, len(d_primes) + 1):
+            yield buf == want
 
     def survivor_mask(self, z: int) -> np.ndarray:
-        n = self.values()
-        keep = np.ones(self.N, dtype=bool)
-        for p in self.residues.primes():
-            if p >= z:
-                continue
-            rem = n % p
-            for r in self.residues.classes[p]:
-                keep &= rem != r
-        return keep
+        return np.concatenate([np.ones(0, dtype=bool), *self._survivor_blocks(z)])
 
-    def sift_count(self, z: int) -> int:
-        return int(np.count_nonzero(self.survivor_mask(z)))
+    def sift_count(self, z: int, d_primes=()) -> int:
+        """#{n in [M, M+N) : n in Omega(p) for every p | d, n in no Omega(p) with p < z}."""
+        return sum(int(np.count_nonzero(keep)) for keep in self._survivor_blocks(z, d_primes))
+
+    def histogram(self, primes: tuple[int, ...]) -> np.ndarray:
+        """Counts of indices by the set of ``primes`` whose classes hold them (bit i for primes[i])."""
+        hist = np.zeros(1 << len(primes), dtype=np.int64)
+        for buf in self._marked_blocks([(p, 1 << i) for i, p in enumerate(primes)], len(primes)):
+            hist += np.bincount(buf, minlength=len(hist))
+        return hist
+
+
+def _value_histogram(values: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """Counts of ``values`` by the set of ``primes`` dividing them (bit i for primes[i])."""
+    masks = np.zeros(len(values), dtype=np.int64)
+    for i, p in enumerate(primes):
+        masks |= (values % p == 0).astype(np.int64) << i
+    return np.bincount(masks, minlength=1 << len(primes)).astype(np.int64)
 
 
 class _Profile:
@@ -163,13 +207,10 @@ class _Profile:
     |A_d| / |S(A_d, w)| query exactly without touching the elements again.
     """
 
-    def __init__(self, values: np.ndarray, primes: tuple[int, ...]):
+    def __init__(self, primes: tuple[int, ...], hist: np.ndarray):
         self.primes = primes
         self.index = {p: i for i, p in enumerate(primes)}
-        masks = np.zeros(len(values), dtype=np.int64)
-        for i, p in enumerate(primes):
-            masks |= (values % p == 0).astype(np.int64) << i
-        self.hist = np.bincount(masks, minlength=1 << len(primes)).astype(np.int64)
+        self.hist = hist
         self._superset = self._superset_sum(self.hist)
         self._sifted: dict[int, np.ndarray] = {}
 
@@ -282,8 +323,11 @@ class SieveProblem:
             primes = tuple(p for p in small_primes(_PROFILE_Z))
         prof = self._profiles.get(primes)
         if prof is None:
-            prof = _Profile(self.values(), primes)
-            self._profiles[primes] = prof
+            if self._omega_interval is not None:
+                hist = self.omega_form(max(primes, default=1) + 1).histogram(primes)
+            else:
+                hist = _value_histogram(self.values(), primes)
+            prof = self._profiles[primes] = _Profile(primes, hist)
         return prof
 
     # -- exact counting ---------------------------------------------------
@@ -337,15 +381,17 @@ class SieveProblem:
         class is divisible by it); callers in the iteration identities only
         pass classes whose primes sit at or above the sifting window.
         """
-        if z > _PROFILE_Z or any(p >= _PROFILE_Z for p in d_primes):
-            vals = self.values()
-            keep = np.ones(len(vals), dtype=bool)
-            for p in d_primes:
-                keep &= vals % p == 0
-            for p in primes_up_to_simple(z).primes:
-                keep &= vals % int(p) != 0
-            return int(np.count_nonzero(keep))
-        return self.profile().sift_count(z, d_primes)
+        if z <= _PROFILE_Z and all(p < _PROFILE_Z for p in d_primes):
+            return self.profile().sift_count(z, d_primes)
+        if self._omega_interval is not None:
+            return self.omega_form(max([z, *d_primes]) + 1).sift_count(z, d_primes)
+        vals = self.values()
+        keep = np.ones(len(vals), dtype=bool)
+        for p in d_primes:
+            keep &= vals % p == 0
+        for p in primes_up_to_simple(z).primes:
+            keep &= vals % int(p) != 0
+        return int(np.count_nonzero(keep))
 
     # -- residue-class (Omega) form --------------------------------------
 

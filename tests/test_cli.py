@@ -151,6 +151,19 @@ def test_bad_arguments_exit_2(capsys):
 def test_budget_exit_3(capsys):
     code = main(["chen", "--N", "20000000"])
     assert code == 3
+    assert main(["sift", "--problem", "twin", "--x", "1e30", "--z", "2"]) == 3
+
+
+def test_integers_beyond_int64(capsys):
+    code, out = run(["sift", "--problem", "interval", "--x", "1e30", "--y", "5", "--z", "2,3",
+                     "--format", "json"], capsys)
+    assert code == 0
+    assert [row["survivors"] for row in json.loads(out)] == [5, 2]
+    # the dual route still evaluates phases over int64 indices: exit 2, no traceback
+    code = main(["bound", "--method", "linnik", "--problem", "interval", "--x", "1e30", "--y", "1000",
+                 "--z", "10"])
+    assert code == 2
+    assert "too large" in capsys.readouterr().err
 
 
 def test_output_file(tmp_path, capsys):

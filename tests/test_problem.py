@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievekit.arith import primes_up_to, small_primes
+from sievekit.arith import BudgetError, primes_up_to, small_primes
 from sievekit.problem import (
+    ORACLE_ELEMENT_CAP,
     ResidueSystem,
     SiftingDensity,
     build_problem,
@@ -172,7 +173,8 @@ def test_exact_sift_nonincreasing_in_z():
 
 def test_omega_form_agrees_with_product_form():
     # affine kinds: residue-class sifting of the index interval must count
-    # exactly the same survivors as divisibility sifting of the values
+    # exactly the same survivors as divisibility sifting of the values,
+    # inside the stored residue window (z <= 53) and beyond it
     for kind, params in [
         ("twin", {"x": 1000}),
         ("goldbach", {"N": 1000}),
@@ -180,9 +182,27 @@ def test_omega_form_agrees_with_product_form():
         ("progression", {"x": 2000, "k": 7, "l": 3}),
     ]:
         prob = build_problem(kind, params)
-        form = prob.omega_form()
-        for z in (2, 3, 5, 11, 23, 31, 47, 50):
-            assert form.sift_count(z) == exact_sift(prob, z), (kind, z)
+        vals = prob.values()
+        for z in (2, 3, 5, 11, 23, 31, 47, 50, 59, 61):
+            assert prob.omega_form(z).sift_count(z) == brute_sift(vals, z), (kind, z)
+
+
+def test_affine_element_cap_raises_before_any_work():
+    prob = build_problem("twin", {"x": ORACLE_ELEMENT_CAP + 10})
+    assert prob.size > ORACLE_ELEMENT_CAP
+    for z in (2, 30, 60):
+        with pytest.raises(BudgetError):
+            exact_sift(prob, z)
+    with pytest.raises(BudgetError):
+        prob.omega_form(60).survivor_mask(60)
+
+
+def test_affine_sift_beyond_int64():
+    # the residue sieve never forms an element value, so x past 2^63 is fine
+    x = 10**30
+    prob = build_problem("interval", {"x": x, "y": 5})
+    for z in (2, 3, 5, 60):
+        assert exact_sift(prob, z) == brute_sift(range(x - 4, x + 1), z), z
 
 
 def test_residue_system_counting():

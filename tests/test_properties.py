@@ -2,14 +2,16 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from sievekit import problem as problem_mod
 from sievekit.arith import mobius, small_primes
 from sievekit.brun import PureSieveConfig, exact_indicator, truncated_indicator
 from sievekit.largesieve import farey_points, hilbert_ls_check
-from sievekit.problem import ResidueSystem, build_problem, exact_sift
+from sievekit.problem import _PROFILE_Z, ResidueSystem, _value_histogram, build_problem, exact_sift
 from sievekit.selberg import G_sum, H_factor
 
 
@@ -71,3 +73,41 @@ def test_sift_counts_monotone(x, z):
     prob = build_problem("interval", {"x": x, "y": x})
     assert exact_sift(prob, z) >= exact_sift(prob, z + 1)
     assert exact_sift(prob, 2) == prob.size
+
+
+def _affine_problem(data):
+    kind = data.draw(st.sampled_from(("interval", "twin", "goldbach", "progression")))
+    if kind == "interval":
+        x = data.draw(st.integers(2, 300))
+        params = {"x": x, "y": data.draw(st.integers(2, x))}
+    elif kind == "twin":
+        params = {"x": data.draw(st.integers(5, 300))}
+    elif kind == "goldbach":
+        params = {"N": 2 * data.draw(st.integers(4, 150))}
+    else:
+        k = data.draw(st.integers(1, 12))
+        l = data.draw(st.integers(0, k - 1))
+        assume(math.gcd(k, l) == 1)
+        params = {"x": data.draw(st.integers(2, 300)), "k": k, "l": l}
+    return build_problem(kind, params)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_sieve_matches_value_divisibility(data):
+    # blocks of 1, 7 or 64 split the index range; z straddles the profile
+    # window _PROFILE_Z = 53, past which counts leave the bit-profile
+    block = data.draw(st.sampled_from((1, 7, 64)))
+    z = data.draw(st.integers(2, 70))
+    d_primes = tuple(data.draw(st.lists(st.sampled_from(small_primes(72)), max_size=3, unique=True)))
+    with mock.patch.object(problem_mod, "_BLOCK", block):
+        prob = _affine_problem(data)
+        vals = prob.values()
+        sifting = small_primes(z)
+        scan = [all(v % p == 0 for p in d_primes) and all(v % p for p in sifting) for v in vals.tolist()]
+        assert prob.sift_count(z, d_primes) == sum(scan)
+        assert np.array_equal(prob.profile().hist, _value_histogram(vals, small_primes(_PROFILE_Z)))
+        keep = np.ones(len(vals), dtype=bool)
+        for p in sifting:
+            keep &= vals % p != 0
+        assert np.array_equal(prob.omega_form(z).survivor_mask(z), keep)
