@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -72,9 +73,10 @@ def _phase_groups(points: SeparatedPoints, M: int, N: int):
     e((a r mod q) / q) over r in [0, q), its exponent reduced exactly in
     integers.  A group with q >= N (float points with long binary
     denominators among them) gains nothing from folding and is evaluated
-    on n directly.  Memory is O(N + max_q |A_q| min(q, N)).
+    on n directly, which needs int64 indices.  Memory is
+    O(N + max_q |A_q| min(q, N)).
     """
-    n = np.arange(M, M + N, dtype=np.int64)
+    offsets = np.arange(N, dtype=np.int64)
     fracs = [Fraction(t) for t in points.points]
     groups: dict[int, list[int]] = {}
     for j, t in enumerate(fracs):
@@ -83,10 +85,12 @@ def _phase_groups(points: SeparatedPoints, M: int, N: int):
         if q < N:
             a = np.array([fracs[j].numerator % q for j in rows], dtype=np.int64)
             r = np.arange(q, dtype=np.int64)
-            yield rows, np.exp(2j * np.pi * (a[:, None] * r % q) / q), n % q
+            # M is reduced as a Python int, so indices past 2^63 fold exactly
+            yield rows, np.exp(2j * np.pi * (a[:, None] * r % q) / q), (M % q + offsets) % q
         else:
+            n = np.arange(M, M + N, dtype=np.int64)
             theta = np.array([float(points.points[j]) for j in rows])
-            yield rows, np.exp(2j * np.pi * theta[:, None] * n), np.arange(N)
+            yield rows, np.exp(2j * np.pi * theta[:, None] * n), offsets
 
 
 def additive_ls_check(points: SeparatedPoints, coefficients, M: int = 0) -> tuple[float, float, float]:
@@ -259,7 +263,7 @@ class CharacterTable:
 
 @lru_cache(maxsize=2048)
 def character_table(q: int, *, cap: int = CHARACTER_MODULUS_CAP) -> CharacterTable:
-    """Build the full character group mod q by brute-force discrete logs."""
+    """Build the full character group mod q from the discrete-log lattice of its units."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if q > cap:
@@ -270,50 +274,27 @@ def character_table(q: int, *, cap: int = CHARACTER_MODULUS_CAP) -> CharacterTab
         return CharacterTable(1, exps, vals, 1, np.array([1]), np.array([1.0 + 0j]))
     gens, orders = _unit_group(q)
     e = math.lcm(*orders) if orders else 1
-    # discrete logs of every unit by enumerating the generator lattice
-    logs = {}
-    units = []
-
-    def walk(i, value, vec):
-        if i == len(gens):
-            logs[value] = tuple(vec)
-            units.append(value)
-            return
-        acc = value
-        for k in range(orders[i]):
-            walk(i + 1, acc, vec + [k])
-            acc = acc * gens[i] % q
-
-    walk(0, 1, [])
+    # the unit lattice: row k of L holds the discrete logs of units[k]; the
+    # characters are indexed by the same lattice
+    L = np.array(list(product(*(range(order) for order in orders))), dtype=np.int64)
+    units = np.ones(len(L), dtype=np.int64)
+    for i, (g, order) in enumerate(zip(gens, orders)):
+        powers = np.array([pow(g, k, q) for k in range(order)], dtype=np.int64)
+        units = units * powers[L[:, i]] % q
     assert len(units) == euler_phi(q)
-    n_chars = len(units)
-    exps = np.full((n_chars, q), -1, dtype=np.int64)
-    char_vecs = list(logs.values())  # character index lattice = unit lattice
-    for j, jvec in enumerate(char_vecs):
-        for n, nvec in logs.items():
-            t = 0
-            for jv, nv, order in zip(jvec, nvec, orders):
-                t += jv * nv * (e // order)
-            exps[j, n] = t % e
+    unit_exps = (L * (e // np.array(orders, dtype=np.int64))) @ L.T % e
+    exps = np.full((len(units), q), -1, dtype=np.int64)
+    exps[:, units] = unit_exps
     roots = np.exp(2j * np.pi * np.arange(e) / e)
     vals = np.where(exps >= 0, roots[np.maximum(exps, 0)], 0.0)
-    conductors = np.array([_conductor(q, exps[j], e) for j in range(n_chars)])
+    # conductor: the least f | q on whose units n = 1 (mod f) the character is trivial
+    conductors = np.full(len(units), q, dtype=np.int64)
+    for f in sorted((d for d in range(1, q) if q % d == 0), reverse=True):
+        trivial = np.all(unit_exps[:, (units - 1) % f == 0] == 0, axis=1)
+        conductors[trivial] = f
     phases = np.exp(2j * np.pi * np.arange(q) / q)
     gauss = vals @ phases
     return CharacterTable(q, exps, vals, e, conductors, gauss)
-
-
-def _conductor(q: int, exp_row: np.ndarray, e: int) -> int:
-    divisors = sorted(d for d in range(1, q + 1) if q % d == 0)
-    for f in divisors:
-        ok = True
-        for n in range(1, q):
-            if exp_row[n] >= 0 and (n - 1) % f == 0 and exp_row[n] != 0:
-                ok = False
-                break
-        if ok:
-            return f
-    return q
 
 
 def multiplicative_ls_check(Q: int, coefficients, M: int = 0) -> tuple[float, float]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -529,16 +530,27 @@ def problem_from_config(config: Mapping, *, table: PrimeTable | None = None) -> 
     return build_problem(kind, cfg, table=table)
 
 
+@lru_cache(maxsize=2)
 def factor_count_sieve(x: int) -> np.ndarray:
-    """Number of prime divisors counted with multiplicity, for 0 <= n < x."""
+    """Number of prime divisors counted with multiplicity, for 0 <= n < x.
+
+    Only the prime powers of p <= sqrt(x - 1) are struck; each strike also
+    divides p out of a residual copy of n, so what remains above 1 is the
+    one prime factor an n < x can have above the root.  The array is
+    cached and returned read-only, shared by every caller at the same x.
+    """
     out = np.zeros(x, dtype=np.uint8)
-    if x <= 2:
-        return out
-    for p in primes_up_to_simple(x).primes:
-        pk = int(p)
-        while pk < x:
-            out[pk::pk] += 1
-            pk *= int(p)
+    if x > 2:
+        residual = np.arange(x, dtype=np.int32 if x <= 2**31 else np.int64)
+        for p in primes_up_to_simple(math.isqrt(x - 1) + 1).primes:
+            p = int(p)
+            pk = p
+            while pk < x:
+                out[pk::pk] += 1
+                residual[pk::pk] //= p
+                pk *= p
+        out[residual > 1] += 1
+    out.setflags(write=False)
     return out
 
 

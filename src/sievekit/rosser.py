@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import BudgetError, PrimeTable, factorize, small_primes
 from .legendre import density_product, dimension_fit
-from .problem import SieveProblem, build_problem, count_in_class, exact_sift, factor_count_sieve
+from .problem import _PROFILE_Z, SieveProblem, build_problem, count_in_class, exact_sift, factor_count_sieve
 from .reports import BoundReport
 
 EULER = 0.5772156649015329
@@ -424,7 +424,8 @@ def parity_extremal(x: int, z: int, r: int, *, functions: SieveFunctionTable | N
     weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
     primes = list(small_primes(z))
     exact = exact_sift(problem, z)
-    prof = problem.profile(tuple(primes))
+    # below the profile window, exact_sift has already built the full profile
+    prof = problem.profile() if z <= _PROFILE_Z else problem.profile(tuple(primes))
     rho_sum = 0
     sigma_sum = 0
     for tag, d, factors, mu in weight_walk(primes, weights):
@@ -499,6 +500,7 @@ class ChenReport:
         }
 
 
+@lru_cache(maxsize=4)
 def twin_constant(limit: int = 10**5) -> float:
     """prod over odd p of (1 - 1/(p-1)^2), truncated below ``limit``."""
     out = 1.0
@@ -532,7 +534,8 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
         if p < U:
             survivors &= values % int(p) != 0
     T1 = int(np.count_nonzero(survivors))
-    window = [int(p) for p in table.primes if U <= p < V]
+    lo, hi = np.searchsorted(table.primes, [U, V])
+    window = [int(p) for p in table.primes[lo:hi]]
     T2 = Fraction(0)
     for p1 in window:
         T2 += int(np.count_nonzero(survivors & (values % p1 == 0)))
@@ -540,10 +543,8 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
     T3 = 0
     for p1 in window:
         p2_hi = math.sqrt(N / p1)
-        for p2 in table.primes:
+        for p2 in table.primes[hi:]:
             p2 = int(p2)
-            if p2 < V:
-                continue
             if p2 >= p2_hi:
                 break
             m = p1 * p2

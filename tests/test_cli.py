@@ -159,11 +159,15 @@ def test_integers_beyond_int64(capsys):
                      "--format", "json"], capsys)
     assert code == 0
     assert [row["survivors"] for row in json.loads(out)] == [5, 2]
-    # the dual route still evaluates phases over int64 indices: exit 2, no traceback
-    code = main(["bound", "--method", "linnik", "--problem", "interval", "--x", "1e30", "--y", "1000",
-                 "--z", "10"])
-    assert code == 2
-    assert "too large" in capsys.readouterr().err
+    # the dual route folds the indices mod each Farey denominator in Python ints
+    code, out = run(["bound", "--method", "linnik", "--problem", "interval", "--x", "1e30", "--y", "1000",
+                     "--z", "10", "--format", "json"], capsys)
+    assert code == 0
+    (row,) = json.loads(out)
+    code, out = run(["sift", "--problem", "interval", "--x", "1e30", "--y", "1000", "--z", "10",
+                     "--format", "json"], capsys)
+    assert code == 0
+    assert row["verdict"] == "valid" and row["exact"] == json.loads(out)[0]["survivors"]
 
 
 def test_output_file(tmp_path, capsys):

@@ -18,6 +18,7 @@ from sievekit.largesieve import (
     linnik_identity_check,
     min_circular_distance,
     multiplicative_ls_check,
+    _unit_group,
 )
 from sievekit.problem import OmegaForm, ResidueSystem
 
@@ -231,6 +232,56 @@ def test_conductor_consistency():
             ):
                 matches += 1
         assert matches == 1
+
+
+def character_table_reference(q):
+    """Exponents by a triple loop over the discrete-log lattice, conductors by a per-character scan."""
+    gens, orders = _unit_group(q)
+    e = math.lcm(*orders) if orders else 1
+    logs = {}
+
+    def walk(i, value, vec):
+        if i == len(gens):
+            logs[value] = tuple(vec)
+            return
+        acc = value
+        for k in range(orders[i]):
+            walk(i + 1, acc, vec + [k])
+            acc = acc * gens[i] % q
+
+    walk(0, 1, [])
+    exps = np.full((len(logs), q), -1, dtype=np.int64)
+    for j, jvec in enumerate(logs.values()):
+        for n, nvec in logs.items():
+            t = 0
+            for jv, nv, order in zip(jvec, nvec, orders):
+                t += jv * nv * (e // order)
+            exps[j, n] = t % e
+
+    def conductor(exp_row):
+        for f in sorted(d for d in range(1, q + 1) if q % d == 0):
+            ok = True
+            for n in range(1, q):
+                if exp_row[n] >= 0 and (n - 1) % f == 0 and exp_row[n] != 0:
+                    ok = False
+                    break
+            if ok:
+                return f
+        return q
+
+    roots = np.exp(2j * np.pi * np.arange(e) / e)
+    vals = np.where(exps >= 0, roots[np.maximum(exps, 0)], 0.0)
+    conductors = np.array([conductor(row) for row in exps])
+    gauss = vals @ np.exp(2j * np.pi * np.arange(q) / q)
+    return exps, vals, conductors, gauss
+
+
+def test_character_table_matches_reference():
+    # 2^k, odd prime powers and mixed moduli; q = 1 is a fixed special case
+    for q in range(2, 200):
+        t = character_table(q)
+        for got, want in zip((t.exponents, t.values, t.conductors, t.gauss_sums), character_table_reference(q)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), q
 
 
 def test_multiplicative_ls_zero_and_boundary():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievekit.arith import BudgetError, primes_up_to, small_primes
+from sievekit.arith import BudgetError, primes_up_to, primes_up_to_simple, small_primes
 from sievekit.problem import (
     ORACLE_ELEMENT_CAP,
     ResidueSystem,
@@ -89,6 +89,41 @@ def test_parity_builder():
 def test_factor_count_sieve():
     omega = factor_count_sieve(32)
     assert omega[1] == 0 and omega[2] == 1 and omega[12] == 3 and omega[16] == 4 and omega[30] == 3
+
+
+def factor_count_reference(x):
+    """One strike per prime power below x, for every prime below x."""
+    out = np.zeros(x, dtype=np.uint8)
+    if x <= 2:
+        return out
+    for p in primes_up_to_simple(x).primes:
+        pk = int(p)
+        while pk < x:
+            out[pk::pk] += 1
+            pk *= int(p)
+    return out
+
+
+def test_factor_count_sieve_matches_reference():
+    for x in range(301):
+        got = factor_count_sieve(x)
+        assert got.dtype == np.uint8 and np.array_equal(got, factor_count_reference(x)), x
+    # the root split changes at x = p^2 + 1; the reference's entries below x
+    # do not depend on x (a prime power >= x strikes nothing below it), so
+    # one reference table serves every x up to 10**6
+    ref = factor_count_reference(10**6)
+    squares = [p * p for p in small_primes(1000)]
+    for x in sorted({x + k for x in squares for k in (-1, 0, 1)} | {10**6}):
+        got = factor_count_sieve(x)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref[:x]), x
+
+
+def test_factor_count_sieve_is_cached_read_only():
+    omega = factor_count_sieve(1000)
+    assert factor_count_sieve(1000) is omega
+    assert not omega.flags.writeable
+    with pytest.raises(ValueError):
+        omega[2] = 0
 
 
 def test_count_in_class_examples():

@@ -1,12 +1,14 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sievekit.arith import factor_squarefree, mobius, primes_up_to, small_primes
-from sievekit.problem import build_problem, exact_sift
+from sievekit.arith import factor_squarefree, factorize, mobius, primes_up_to, small_primes
+from sievekit.problem import build_problem, exact_sift, factor_count_sieve
 from sievekit.rosser import (
     TWO_E_EULER,
     ChenReport,
@@ -378,6 +380,74 @@ def test_chen_decomposition_degenerate_window(table):
     rep = chen_decomposition(100, table)
     assert rep.small_factor_sum >= 0
     assert rep.inequality_holds
+
+
+def chen_reference(N, table):
+    """chen_decomposition with a list-scan prime window and a skip-ahead p2 loop."""
+    U = N**0.1
+    V = N ** (1 / 3)
+    ps = table.primes_below(N)
+    values = (N - ps).astype(np.int64)
+    survivors = np.ones(len(values), dtype=bool)
+    for p in table.primes_below(int(U) + 1):
+        if p < U:
+            survivors &= values % int(p) != 0
+    T1 = int(np.count_nonzero(survivors))
+    window = [int(p) for p in table.primes if U <= p < V]
+    T2 = Fraction(0)
+    for p1 in window:
+        T2 += int(np.count_nonzero(survivors & (values % p1 == 0)))
+    T2 = T2 / 2
+    T3 = 0
+    for p1 in window:
+        p2_hi = math.sqrt(N / p1)
+        for p2 in table.primes:
+            p2 = int(p2)
+            if p2 < V:
+                continue
+            if p2 >= p2_hi:
+                break
+            m = p1 * p2
+            sel = survivors & (values % m == 0)
+            for v in values[sel]:
+                q = int(v) // m
+                if q > 1 and q < table.limit and q in table:
+                    T3 += 1
+    T3 = Fraction(T3, 2)
+    left = int(np.count_nonzero(factor_count_sieve(N)[values] <= 2))
+    rhs = T1 - T2 - T3
+    singular = Fraction(1)
+    for p, _ in factorize(N):
+        if p > 2:
+            singular *= Fraction(p - 1, p - 2)
+    shape = twin_constant.__wrapped__() * float(singular) * N / math.log(N) ** 2
+    return ChenReport(
+        N=N, left=left, sifted=T1, small_factor_sum=T2, triple_sum=T3,
+        rhs=rhs, inequality_holds=left >= rhs,
+        singular_factor=singular, main_shape=shape,
+        ratio=left / shape if shape else math.inf,
+    )
+
+
+# even N around 2^10 (N^(1/10) near 2) and around p^3 for primes p (N^(1/3) near p)
+CHEN_EDGES = [1022, 1024, 1026] + [p**3 + s for p in (3, 5, 7, 11, 13, 17, 19, 23) for s in (-1, 1)]
+
+
+def assert_chen_matches_reference(N, table):
+    got, want = chen_decomposition(N, table), chen_reference(N, table)
+    for f in fields(ChenReport):
+        assert getattr(got, f.name) == getattr(want, f.name), (N, f.name)
+
+
+def test_chen_decomposition_window_edges(table):
+    for N in CHEN_EDGES:
+        assert_chen_matches_reference(N, table)
+
+
+@given(st.one_of(st.integers(8, 10**4).map(lambda k: 2 * k), st.sampled_from(CHEN_EDGES)))
+@settings(max_examples=60, deadline=None)
+def test_chen_decomposition_matches_reference(table, N):
+    assert_chen_matches_reference(N, table)
 
 
 def test_twin_constant_value():

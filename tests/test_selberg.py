@@ -200,6 +200,16 @@ def test_linnik_bound_twin_style():
     assert rep.verdict == "valid"
 
 
+def test_linnik_bound_twin_report_pinned():
+    # the dual check folds 444 Farey points over 99 997 indices; the report is exact
+    rep = linnik_bound(build_problem("twin", {"x": 10**5}), 45)
+    assert rep.row() == {
+        "method": "linnik", "problem": "twin(x=100000)", "direction": "upper",
+        "main": 6720.696374373087, "remainder_bound": 0.0, "bound": 6720.696374373087,
+        "exact": 2681, "margin": 4039.6963743730867, "verdict": "valid", "param_z": 45,
+    }
+
+
 def test_bounds_above_profile_window_sift_every_prime():
     # the stored residue classes stop at 53; z = 60 must still sift by 53 and 59
     prob = build_problem("twin", {"x": 10**5})
