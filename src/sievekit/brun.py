@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import small_primes
-from .problem import SieveProblem, build_problem, count_in_class, divisor_walk, exact_sift
+from .problem import SieveProblem, build_problem, divisor_tally, divisor_walk, exact_sift
 from .reports import BoundReport
 
 
@@ -57,17 +56,7 @@ def pure_sieve_bound(problem: SieveProblem, config: PureSieveConfig, *, worst_ca
     worst case sum of omega(d) when ``worst_case``).
     """
     primes = [p for p in small_primes(config.z) if problem.density.omega(p) != 0]
-    main = Fraction(0)
-    rem = Fraction(0)
-    for d, factors, mu in divisor_walk(primes, max_nu=config.cutoff):
-        w = problem.density.omega_d(factors)
-        main += mu * w / d
-        if worst_case:
-            rem += w
-        else:
-            _, r_d = count_in_class(problem, d)
-            rem += abs(r_d)
-    main *= problem.X
+    main, rem = divisor_tally(problem, primes, divisor_walk(primes, max_nu=config.cutoff), worst_case=worst_case)
     sign = 1 if config.parity == "upper" else -1
     bound = main + sign * rem
     return BoundReport(

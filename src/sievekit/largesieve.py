@@ -129,23 +129,38 @@ def dual_ls_check(points: SeparatedPoints, point_coefficients, M: int, N: int) -
     return lhs, rhs, ratio
 
 
+def _times_pow2(z: np.ndarray, k) -> np.ndarray:
+    """z * 2^k exactly; unlike a product with the float 2^k, this works where 2^k overflows."""
+    return np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k)
+
+
 def hilbert_ls_check(vectors, psi) -> tuple[float, float]:
     """Selberg's inner-product inequality on explicit finite-dimensional data.
 
     lhs = sum over m of |<psi, v_m>|^2 / sum_n |<v_m, v_n>|, rhs = <psi, psi>.
+    Each v_m = 2^e_m u_m and psi are scaled by powers of two to a largest
+    entry in [1/2, 1) before any product is formed, so small vectors do not
+    underflow.  Term m is then |<psi', u_m>|^2 / sum_n 2^(e_n - e_m) |<u_m, u_n>|,
+    and psi's scale is multiplied back into both sides.  Powers of two
+    scale exactly, so where no product underflows the floats are those of
+    the unscaled formula.
     """
     V = np.asarray(vectors, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     if V.ndim != 2 or V.shape[1] != len(psi):
         raise ValueError("vectors must be rows matching psi's dimension")
-    norms = np.linalg.norm(V, axis=1)
-    if np.any(norms == 0):
+    row_max = np.abs(V).max(axis=1, initial=0.0)
+    if np.any(row_max == 0):
         raise ValueError("zero vector in family")
-    gram = np.abs(V @ V.conj().T)
-    inner = np.abs(V @ psi.conj()) ** 2
-    lhs = float(np.sum(inner / gram.sum(axis=1)))
+    e = np.frexp(row_max)[1]
+    U = _times_pow2(V, -e[:, None])
+    f = math.frexp(float(np.abs(psi).max(initial=0.0)))[1]
+    psi = _times_pow2(psi, -f)
+    den = np.ldexp(np.abs(U @ U.conj().T), e[None, :] - e[:, None]).sum(axis=1)
+    inner = np.abs(U @ psi.conj()) ** 2
+    lhs = float(np.sum(inner / den))
     rhs = float(np.real(np.vdot(psi, psi)))
-    return lhs, rhs
+    return math.ldexp(lhs, 2 * f), math.ldexp(rhs, 2 * f)
 
 
 def linnik_identity_check(indicator, p: int, theta: float, M: int = 0, *, omega_size: int | None = None) -> dict:

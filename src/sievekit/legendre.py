@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import BudgetError, small_primes
-from .problem import SieveProblem, SiftingDensity, divisor_walk
+from .problem import _PROFILE_Z, SieveProblem, SiftingDensity, divisor_walk
 
 EXP_MINUS_EULER = 0.561459483566885  # exp(-Euler constant), Mertens constant
 DIVISOR_CAP = 1 << 25
@@ -40,13 +40,20 @@ def density_product(density: SiftingDensity, z: int) -> Fraction:
     return out
 
 
+def _density_factor(density: SiftingDensity, p: int) -> float:
+    """float(1 - omega(p)/p) as one int division, which is correctly rounded."""
+    w = density.omega(p)
+    pb = p * w.denominator
+    return (pb - w.numerator) / pb
+
+
 def density_product_float(density: SiftingDensity, z: int) -> float:
     """Float-precision V(z, omega) for asymptotic comparisons at large z."""
     if z < 2:
         raise ValueError("z must be >= 2")
     out = 1.0
     for p in small_primes(z):
-        out *= 1 - density.omega(p) / p
+        out *= _density_factor(density, p)
     return out
 
 
@@ -65,11 +72,11 @@ def legendre_decompose(problem: SieveProblem, z: int, *, divisor_cap: int = DIVI
     primes = sifting_primes(problem.density, z)
     if len(primes) > 25 or (1 << len(primes)) > divisor_cap:
         raise BudgetError(f"2^{len(primes)} divisors of P({z}) exceed the enumeration cap")
-    prof = problem.profile() if all(p in problem.profile().index for p in primes) else None
+    # above the window the profile covers exactly the sifting primes: 2^pi(z) entries
+    prof = problem.profile() if z <= _PROFILE_Z else problem.profile(tuple(primes))
     total = 0
-    for d, factors, mu in divisor_walk(primes, cap=divisor_cap):
-        count = prof.count_multiple(factors) if prof is not None else problem.count_multiple(d)
-        total += mu * count
+    for _d, factors, mu in divisor_walk(primes, cap=divisor_cap):
+        total += mu * prof.count_multiple(factors)
     main = density_product(problem.density, z) * problem.X
     return SieveDecomposition(main, Fraction(total) - main, total)
 
@@ -87,10 +94,19 @@ def dimension_fit(density: SiftingDensity, z1: int, z2: int) -> float:
     """Empirical sieve dimension from the decay of V between z1 and z2."""
     if not 2 < z1 < z2:
         raise ValueError("need 2 < z1 < z2")
-    v1 = density_product_float(density, z1)
-    v2 = density_product_float(density, z2)
-    if v1 == v2:
-        return 0.0
-    if v2 == 0:
-        raise ValueError("density product vanishes at z2")
-    return math.log(v1 / v2) / math.log(math.log(z2) / math.log(z1))
+    fit = density._fits.get((z1, z2))
+    if fit is None:
+        # one prefix pass: v1 is the running product after the last prime below z1
+        v1 = v2 = 1.0
+        for p in small_primes(z2):
+            v2 *= _density_factor(density, p)
+            if p < z1:
+                v1 = v2
+        if v1 == v2:
+            fit = 0.0
+        elif v2 == 0:
+            raise ValueError("density product vanishes at z2")
+        else:
+            fit = math.log(v1 / v2) / math.log(math.log(z2) / math.log(z1))
+        density._fits[(z1, z2)] = fit
+    return fit

@@ -55,6 +55,7 @@ class SiftingDensity:
         self._rule = rule
         self.kappa = kappa
         self._memo: dict[int, Fraction] = {}
+        self._fits: dict[tuple[int, int], float] = {}  # dimension_fit results by (z1, z2)
 
     def omega(self, p: int) -> Fraction:
         w = self._memo.get(p)
@@ -218,11 +219,10 @@ class _Profile:
     @staticmethod
     def _superset_sum(hist: np.ndarray) -> np.ndarray:
         f = hist.copy()
-        nbits = int(np.log2(len(f)))
-        idx = np.arange(len(f))
-        for i in range(nbits):
-            lo = idx[(idx >> i) & 1 == 0]
-            f[lo] += f[lo | (1 << i)]
+        for i in range(len(f).bit_length() - 1):
+            # axis 1 is bit i of the mask; fold the set half into the clear half in place
+            v = f.reshape(-1, 2, 1 << i)
+            v[:, 0, :] += v[:, 1, :]
         return f
 
     def bits_of(self, d_primes) -> int:
@@ -333,9 +333,14 @@ class SieveProblem:
 
     # -- exact counting ---------------------------------------------------
 
-    def count_multiple(self, d: int) -> int:
-        """|A_d|: elements whose value is divisible by squarefree d."""
-        d_primes = [p for p, _ in factorize(d)] if d > 1 else []
+    def count_multiple(self, d: int, d_primes=None) -> int:
+        """|A_d|: elements whose value is divisible by squarefree d.
+
+        ``d_primes`` are the primes of d when the caller already holds them
+        (a divisor walk does); otherwise d is factored here.
+        """
+        if d_primes is None:
+            d_primes = [p for p, _ in factorize(d)] if d > 1 else []
         if self.kind == "interval":
             return (self._hi - 1) // d - (self._lo - 1) // d
         if self.kind in ("twin", "goldbach"):
@@ -560,9 +565,44 @@ def count_in_class(problem: SieveProblem, d: int) -> tuple[int, Fraction]:
     if any(e > 1 for _, e in factors):
         raise ValueError("d must be squarefree")
     d_primes = [p for p, _ in factors]
-    count = problem.count_multiple(d)
+    count = problem.count_multiple(d, d_primes)
     main = problem.density.omega_d(d_primes) / d * problem.X
     return count, Fraction(count) - main
+
+
+def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = False) -> tuple[Fraction, Fraction]:
+    """Exact (X * sum of mu omega(d)/d, sum of |R_d|) over divisor-walk items.
+
+    ``items`` yields (d, factors, mu) with every factor in ``primes``;
+    R_d = |A_d| - (omega(d)/d) X is the class remainder, and ``worst_case``
+    tallies the density bound omega(d) in place of |R_d|.  With
+    omega(p) = a_p/b_p, X = x_num/x_den and L = prod of p b_p over
+    ``primes``, every term is an integer over L x_den (omega(d)/d = n_d/L
+    with n_d = prod a_p * L / prod p b_p), so the sums run in Python ints
+    and each result is one Fraction: the same rationals as a per-divisor
+    Fraction sum, and so the same floats.
+    """
+    local = {}
+    for p in primes:
+        w = problem.density.omega(p)
+        local[p] = (w.numerator, p * w.denominator)
+    L = math.prod(pb for _, pb in local.values())
+    x_num, x_den = problem.X.numerator, problem.X.denominator
+    scale = L * x_den
+    main = rem = 0
+    for d, factors, mu in items:
+        a = pb = 1
+        for p in factors:
+            a_p, pb_p = local[p]
+            a *= a_p
+            pb *= pb_p
+        n = a * (L // pb)
+        main += mu * n
+        if worst_case:
+            rem += n * d  # omega(d) = n_d d / L
+        else:
+            rem += abs(problem.count_multiple(d, factors) * scale - n * x_num)
+    return Fraction(main * x_num, scale), Fraction(rem, L if worst_case else scale)
 
 
 def exact_sift(problem: SieveProblem, z: int) -> int:

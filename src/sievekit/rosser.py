@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import BudgetError, PrimeTable, factorize, small_primes
 from .legendre import density_product, dimension_fit
-from .problem import _PROFILE_Z, SieveProblem, build_problem, count_in_class, exact_sift, factor_count_sieve
+from .problem import _PROFILE_Z, SieveProblem, build_problem, divisor_tally, exact_sift, factor_count_sieve
 from .reports import BoundReport
 
 EULER = 0.5772156649015329
@@ -367,11 +367,8 @@ def linear_sieve_bound(
     main = functions.phi(r, tau) * float(density_product(problem.density, z) * problem.X)
     weights = RosserWeightTable(D=D, beta=2.0, r=r)
     primes = [p for p in small_primes(z) if problem.density.omega(p) != 0]
-    rem = Fraction(0)
-    for tag, d, factors, _mu in weight_walk(primes, weights):
-        if tag == "rho":
-            _, r_d = count_in_class(problem, d)
-            rem += abs(r_d)
+    kept = ((d, factors, mu) for tag, d, factors, mu in weight_walk(primes, weights) if tag == "rho")
+    _, rem = divisor_tally(problem, primes, kept)
     direction = "upper" if r == 1 else "lower"
     bound = main + float(rem) if r == 1 else main - float(rem)
     return BoundReport(

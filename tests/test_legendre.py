@@ -67,6 +67,19 @@ def test_decompose_matches_oracle_all_kinds():
             assert dec.main + dec.remainder == dec.total
 
 
+def test_decompose_above_profile_window():
+    # past _PROFILE_Z = 53 the counts come from a profile over exactly the sifting primes
+    twin = build_problem("twin", {"x": 10**5})
+    for z, total in ((54, 2460), (60, 2371)):
+        dec = legendre_decompose(twin, z)
+        assert dec.total == dec.main + dec.remainder == exact_sift(twin, z) == total
+    others = (build_problem("progression", {"x": 3000, "k": 53, "l": 5}), build_problem("parity", {"x": 2000, "r": 1}))
+    for prob in others:
+        for z in (53, 54, 60):
+            dec = legendre_decompose(prob, z)
+            assert dec.total == dec.main + dec.remainder == exact_sift(prob, z), (prob.kind, z)
+
+
 def test_decompose_budget_guard():
     prob = build_problem("interval", {"x": 10**6, "y": 10**6})
     with pytest.raises(BudgetError):
