@@ -31,20 +31,52 @@ class BudgetError(RuntimeError):
     """A computation would exceed its configured work/memory budget."""
 
 
+class PrimeLookup:
+    """Read-only ``n -> is n prime`` view of a :class:`PrimeTable`.
+
+    Indexing takes an int or an int array and answers with one binary
+    search in the table's primes, so the view stores nothing of its own
+    (``nbytes`` is 0).  Every value outside [0, limit) reads False.
+    """
+
+    nbytes = 0
+
+    def __init__(self, table: PrimeTable):
+        self._table = table
+
+    def __getitem__(self, n):
+        ps = self._table.primes
+        if np.ndim(n) == 0:
+            n = int(n)
+            if not 0 <= n < self._table.limit:
+                return False
+            i = int(np.searchsorted(ps, n))
+            return i < len(ps) and int(ps[i]) == n
+        n = np.asarray(n)
+        if len(ps) == 0:
+            return np.zeros(n.shape, dtype=bool)
+        # a value equal to some prime lies in [2, limit), so no range test is needed
+        i = np.searchsorted(ps, n)
+        np.minimum(i, len(ps) - 1, out=i)
+        return ps[i] == n
+
+
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes below ``limit`` plus a membership bitmap over [0, limit)."""
+    """All primes below ``limit``, sorted, as a read-only int64 array."""
 
     limit: int
     primes: np.ndarray
-    membership: np.ndarray
 
     def __post_init__(self):
         self.primes.setflags(write=False)
-        self.membership.setflags(write=False)
+
+    @property
+    def membership(self) -> PrimeLookup:
+        return PrimeLookup(self)
 
     def __contains__(self, n: int) -> bool:
-        return 0 <= n < self.limit and bool(self.membership[n])
+        return self.membership[n]
 
     def count_below(self, x: int) -> int:
         """pi(x): the number of primes p < x."""
@@ -58,8 +90,8 @@ class PrimeTable:
         return self.primes[: self.count_below(x)]
 
 
-def _odd_bitmap_simple(limit: int) -> np.ndarray:
-    """Plain (non-segmented) sieve; used as the cross-check reference."""
+def _bitmap_simple(limit: int) -> np.ndarray:
+    """Plain (non-segmented) sieve over [0, limit); used as the cross-check reference."""
     is_prime = np.ones(limit, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(limit - 1) + 1):
@@ -71,40 +103,42 @@ def _odd_bitmap_simple(limit: int) -> np.ndarray:
 def primes_up_to_simple(limit: int) -> PrimeTable:
     """Non-segmented sieve of all primes below ``limit``."""
     if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64), np.zeros(max(limit, 0), dtype=bool))
-    membership = _odd_bitmap_simple(limit)
-    primes = np.nonzero(membership)[0].astype(np.int64)
-    return PrimeTable(limit, primes, membership)
+        return PrimeTable(limit, np.empty(0, dtype=np.int64))
+    return PrimeTable(limit, np.flatnonzero(_bitmap_simple(limit)).astype(np.int64))
 
 
 def primes_up_to(limit: int, *, cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
-    """All primes in [2, limit), computed by segmented sieving.
+    """All primes in [2, limit), computed by an odd-only segmented sieve.
 
-    Deterministic and bit-identical to the plain sieve.  Raises
+    Entry j of the reused segment buffer stands for the odd number
+    lo + 2j; each segment keeps only its primes, and the pieces are joined
+    once at the end, so working memory is O(sqrt(limit) + _SEGMENT) beside
+    the result.  Bit-identical to the plain sieve.  Raises
     :class:`BudgetError` when ``limit`` exceeds ``cap``.
     """
     if limit > cap:
         raise BudgetError(f"limit {limit} exceeds configured cap {cap}")
-    if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64), np.zeros(max(limit, 0), dtype=bool))
-    root = math.isqrt(limit - 1) + 1
-    base = primes_up_to_simple(max(root, 3))
-    membership = np.zeros(limit, dtype=bool)
-    membership[: base.limit] = base.membership[:limit]
-    seg_lo = base.limit
-    while seg_lo < limit:
-        seg_hi = min(seg_lo + _SEGMENT, limit)
-        seg = np.ones(seg_hi - seg_lo, dtype=bool)
-        for p in base.primes:
-            p = int(p)
-            if p * p >= seg_hi:
+    if limit < 3:
+        return PrimeTable(limit, np.empty(0, dtype=np.int64))
+    base = primes_up_to_simple(math.isqrt(limit - 1) + 1).primes[1:].tolist()  # odd primes p, p^2 < limit
+    pieces = [np.array([2], dtype=np.int64)]
+    buf = np.empty(_SEGMENT, dtype=bool)
+    for lo in range(3, limit, 2 * _SEGMENT):
+        hi = min(lo + 2 * _SEGMENT, limit)
+        seg = buf[: (hi - lo + 1) // 2]
+        seg[:] = True
+        for p in base:
+            if p * p >= hi:
                 break
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            seg[start - seg_lo :: p] = False
-        membership[seg_lo:seg_hi] = seg
-        seg_lo = seg_hi
-    primes = np.nonzero(membership)[0].astype(np.int64)
-    return PrimeTable(limit, primes, membership)
+            start = max(p * p, (lo + p - 1) // p * p)
+            if start % 2 == 0:
+                start += p
+            seg[(start - lo) // 2 :: p] = False
+        found = np.flatnonzero(seg)
+        found *= 2
+        found += lo
+        pieces.append(found)
+    return PrimeTable(limit, np.concatenate(pieces))
 
 
 @lru_cache(maxsize=64)
@@ -214,8 +248,9 @@ def pi_count(table: PrimeTable, x: int, variant: str = "plain", *, k: int | None
     if variant == "twin":
         if x + 2 > table.limit:
             raise ValueError(f"table limit {table.limit} too small for twin count at x={x}")
-        ps = table.primes_below(x)
-        return int(np.count_nonzero(table.membership[ps + 2]))
+        # p and p + 2 both prime means consecutive primes two apart
+        k = table.count_below(x)
+        return int(np.count_nonzero(np.diff(table.primes[: k + 1]) == 2))
     if variant == "progression":
         if k is None or l is None:
             raise ValueError("progression counts need k and l")

@@ -19,6 +19,7 @@ import numpy as np
 from .arith import BudgetError, primes_up_to
 from .brun import PureSieveConfig, pure_sieve_bound
 from .largesieve import (
+    INEQ_SLACK,
     SeparatedPoints,
     additive_ls_check,
     dual_ls_check,
@@ -133,6 +134,8 @@ def cmd_lsieve(args) -> int:
     for suite in chosen:
         violations = 0
         worst = 0.0
+        # a dim-1 hilbert family meets its bound exactly, so its float ratio may round past 1
+        allowed = 1 + INEQ_SLACK if suite == "hilbert" else 1
         for _ in range(args.trials):
             if suite == "additive":
                 pts = farey_points(int(rng.integers(2, args.Q + 1)))
@@ -166,7 +169,7 @@ def cmd_lsieve(args) -> int:
                 r1, r2 = duality_rayleigh(pts, 0, n)
                 ratio = abs(r1 - r2) / max(r1, r2) + (1.0 if abs(r1 - r2) > 1e-6 * max(r1, r2) else 0.0)
             worst = max(worst, ratio)
-            if ratio > 1:
+            if ratio > allowed:
                 violations += 1
         rows.append({"suite": suite, "trials": args.trials, "violations": violations, "worst_ratio": worst})
     _emit(rows, args)

@@ -13,9 +13,9 @@ relative tolerance.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -199,6 +199,9 @@ def linnik_identity_check(indicator, p: int, theta: float, M: int = 0, *, omega_
 # Dirichlet characters
 
 CHARACTER_MODULUS_CAP = 1000
+# Bytes of character tables kept for reuse: every q < 150 (16.5 MB) fits,
+# as does any single table up to the cap (24 MB at q = 997).
+CHARACTER_CACHE_BYTES = 64 << 20
 
 
 def _unit_group(q: int) -> tuple[list[int], list[int]]:
@@ -275,14 +278,58 @@ class CharacterTable:
     def chi(self, j: int, n: int) -> complex:
         return self.values[j, n % self.q]
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.exponents, self.values, self.conductors, self.gauss_sums))
 
-@lru_cache(maxsize=2048)
+
+class _TableCache:
+    """Character tables by q, least recently used first, holding at most ``max_bytes`` of arrays.
+
+    A table larger than the whole bound is returned but not kept.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._tables: OrderedDict[int, CharacterTable] = OrderedDict()
+
+    def get(self, q: int, build) -> CharacterTable:
+        table = self._tables.get(q)
+        if table is not None:
+            self._tables.move_to_end(q)
+            return table
+        table = build(q)
+        if table.nbytes <= self.max_bytes:
+            self._tables[q] = table
+            self.nbytes += table.nbytes
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+        return table
+
+    def clear(self) -> None:
+        self._tables.clear()
+        self.nbytes = 0
+
+
+_character_tables = _TableCache(CHARACTER_CACHE_BYTES)
+
+
 def character_table(q: int, *, cap: int = CHARACTER_MODULUS_CAP) -> CharacterTable:
-    """Build the full character group mod q from the discrete-log lattice of its units."""
+    """The full character group mod q, cached up to CHARACTER_CACHE_BYTES of tables."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if q > cap:
         raise BudgetError(f"modulus {q} above character budget {cap}")
+    return _character_tables.get(q, _build_character_table)
+
+
+# the functools cache interface, so code that empties every cache reaches this one
+character_table.cache_clear = _character_tables.clear
+
+
+def _build_character_table(q: int) -> CharacterTable:
+    """Build the full character group mod q from the discrete-log lattice of its units."""
     if q == 1:
         exps = np.zeros((1, 1), dtype=np.int64)
         vals = np.ones((1, 1), dtype=complex)

@@ -350,6 +350,8 @@ class SieveProblem:
         if self.kind == "progression":
             return self._progression_count(d, self.params["k"], self.params["l"])
         vals = self.values()
+        if d > 2**63:  # above every int64 |value|, so only 0 is a multiple
+            return int(np.count_nonzero(vals == 0))
         return int(np.count_nonzero(vals % d == 0))
 
     def _progression_count(self, d: int, k: int, l: int) -> int:

@@ -546,10 +546,7 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
                 break
             m = p1 * p2
             sel = survivors & (values % m == 0)
-            for v in values[sel]:
-                q = int(v) // m
-                if q > 1 and q < table.limit and q in table:
-                    T3 += 1
+            T3 += int(np.count_nonzero(table.membership[values[sel] // m]))
     T3 = Fraction(T3, 2)
     big_omega = factor_count_sieve(N)
     left = int(np.count_nonzero(big_omega[values] <= 2))

@@ -1,9 +1,15 @@
 import math
+import tracemalloc
+from functools import cache
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sievekit import arith
 from sievekit.arith import (
     BudgetError,
     euler_phi,
@@ -45,16 +51,86 @@ def test_primes_up_to_100_against_trial_division():
     assert len(t.primes) == 25 and t.primes[-1] == 97
 
 
-def test_membership_matches_primes(table):
-    assert np.array_equal(np.nonzero(table.membership)[0], table.primes)
-    assert 97 in table and 91 not in table
+@cache
+def trial_division_below(limit):
+    return np.array(trial_division_primes(limit), dtype=np.int64)
+
+
+def bitmap(limit):
+    """is_prime over [0, limit), the layout the table no longer stores."""
+    out = np.zeros(limit, dtype=bool)
+    out[trial_division_below(limit)] = True
+    return out
+
+
+def test_membership_view_matches_bitmap(table):
+    limit = table.limit
+    ref = bitmap(limit)
+    view = table.membership
+    assert view.nbytes == 0
+    for n in (0, 1, 2, 3, 4, 91, 97, limit - 3, limit - 2, limit - 1):
+        assert view[n] is bool(ref[n]) and (n in table) is bool(ref[n]), n
+        assert view[np.int64(n)] is bool(ref[n])
+    for n in (-7, -2, -1, limit, limit + 1, limit + 3, 2**64 + 13, -(2**70)):
+        assert view[n] is False and n not in table
+    everything = np.arange(limit)
+    assert np.array_equal(view[everything], ref)
+    assert np.array_equal(view[everything[::-1]], ref[::-1])
+    rng = np.random.default_rng(3)
+    picks = rng.integers(-50, limit + 50, size=(40, 25))
+    want = np.where((picks >= 0) & (picks < limit), ref[np.clip(picks, 0, limit - 1)], False)
+    got = view[picks]
+    assert got.dtype == bool and got.shape == picks.shape and np.array_equal(got, want)
+    assert view[np.array([], dtype=np.int64)].shape == (0,)
+    empty = primes_up_to(2).membership
+    assert not empty[np.arange(-2, 5)].any() and empty[1] is False
 
 
 def test_segmented_agrees_with_simple_to_1e7():
     seg = primes_up_to(10**7)
     plain = primes_up_to_simple(10**7)
-    assert np.array_equal(seg.membership, plain.membership)
+    assert seg.primes.dtype == plain.primes.dtype == np.int64
     assert np.array_equal(seg.primes, plain.primes)
+
+
+def _limit_near_primes():
+    """L at a prime p, p +- 1 and p^2 +- 1: the edges of the odd-only segments and the base sieve."""
+    p = st.sampled_from(trial_division_primes(224))
+    return st.one_of(
+        st.integers(0, 5 * 10**4),
+        st.builds(lambda p, s: p + s, p, st.sampled_from((-1, 0, 1))),
+        st.builds(lambda p, s: p * p + s, p, st.sampled_from((-1, 1))),
+    )
+
+
+@given(limit=_limit_near_primes(), segment=st.sampled_from((1, 7, 64)))
+@settings(max_examples=60, deadline=None)
+@example(limit=0, segment=1)
+@example(limit=3, segment=1)
+@example(limit=5 * 10**4, segment=1)
+@example(limit=223**2 + 1, segment=7)
+def test_segmented_sieve_at_any_segment_size(limit, segment):
+    with mock.patch.object(arith, "_SEGMENT", segment):
+        got = primes_up_to(limit)
+    want = primes_up_to_simple(limit).primes
+    assert got.limit == limit and got.primes.dtype == np.int64
+    assert np.array_equal(got.primes, want)
+    assert np.array_equal(got.primes, trial_division_below(max(limit, 0)))
+
+
+def test_sieve_allocates_nothing_of_limit_size():
+    limit = 10**7
+    tracemalloc.start()
+    try:
+        primes_up_to(limit)
+        tracemalloc.reset_peak()
+        t = primes_up_to(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pieces and their join are 2 x the primes; a bitmap over [0, limit)
+    # with its copies (the former layout) peaked at 4 x
+    assert peak < 3 * t.primes.nbytes
 
 
 def test_budget_guard():
@@ -125,6 +201,13 @@ def test_pi_count_variants(table):
     assert pi_count(table, 100, "progression", k=4, l=1) == 11
     assert pi_count(table, 1000, "twin") == 35
     assert pi_count(table, 10**4, "twin") == 205
+
+
+def test_twin_count_pinned_to_bitmap_lookup(table):
+    ref = bitmap(table.limit)
+    for x in range(10**4 + 3):
+        ps = table.primes_below(x)
+        assert pi_count(table, x, "twin") == int(np.count_nonzero(ref[ps + 2])), x
 
 
 def test_pi_progression_partition(table):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sievekit import cli
 from sievekit.cli import main
 
 
@@ -105,6 +106,19 @@ def test_deterministic_lsieve(capsys):
     assert out3 != out1
 
 
+def test_lsieve_hilbert_judged_with_slack(capsys, monkeypatch):
+    # dim-1 families meet the bound exactly; their float ratios land within INEQ_SLACK of 1
+    code, out = run(["lsieve", "--suite", "hilbert"], capsys)
+    assert code == 0
+    [row] = csv_rows(out)
+    assert row["violations"] == "0" and float(row["worst_ratio"]) == pytest.approx(1.0)
+    monkeypatch.setattr(cli, "hilbert_ls_check", lambda fam, psi: (2.0, 1.0))
+    code, out = run(["lsieve", "--suite", "hilbert", "--trials", "3"], capsys)
+    assert code == 1
+    [row] = csv_rows(out)
+    assert row["violations"] == "3" and float(row["worst_ratio"]) == 2.0
+
+
 def test_sievefun_csv(capsys):
     code, out = run(["sievefun", "--tau-max", "4", "--step", "1e-3"], capsys)
     assert code == 0
@@ -168,6 +182,16 @@ def test_integers_beyond_int64(capsys):
                      "--format", "json"], capsys)
     assert code == 0
     assert row["verdict"] == "valid" and row["exact"] == json.loads(out)[0]["survivors"]
+
+
+def test_pure_bound_with_divisors_beyond_int64(capsys):
+    # ell = 7 keeps products of up to 14 odd primes below 60, some of them above 2^63
+    code, out = run(["bound", "--method", "brun-pure", "--problem", "shifted_prime", "--x", "10000",
+                     "--z", "60", "--ell", "7", "--format", "json"], capsys)
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["direction"] == "upper" and row["verdict"] == "valid"
+    assert float(row["bound"]) >= int(row["exact"]) > 0
 
 
 def test_output_file(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sievekit import largesieve
 from sievekit.arith import BudgetError, euler_phi, small_primes
 from sievekit.largesieve import (
     SeparatedPoints,
@@ -334,6 +335,25 @@ def test_duality_rayleigh_agreement():
         E = np.exp(2j * np.pi * np.outer(pts.as_floats(), n))
         top = np.linalg.svd(E, compute_uv=False)[0] ** 2
         assert r1 == pytest.approx(top, rel=1e-6)
+
+
+def test_character_cache_bounded_by_bytes():
+    cache = largesieve._character_tables
+    character_table.cache_clear()
+    try:
+        first = [character_table(q) for q in range(1, 150)]
+        # the tables multiplicative_ls_check reuses up to Q = 150 all stay
+        assert all(character_table(q) is t for q, t in zip(range(1, 150), first))
+        for q in range(150, 1001):
+            character_table(q)
+            assert cache.nbytes <= largesieve.CHARACTER_CACHE_BYTES
+        assert cache.nbytes == sum(t.nbytes for t in cache._tables.values())
+    finally:
+        character_table.cache_clear()
+    # a table larger than the whole bound is returned but evicts nothing
+    small = largesieve._TableCache(character_table(40).nbytes)
+    t40, t41 = (small.get(q, character_table) for q in (40, 41))
+    assert t41.nbytes > t40.nbytes and list(small._tables.items()) == [(40, t40)]
 
 
 def test_character_budget():

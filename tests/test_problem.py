@@ -284,3 +284,11 @@ def test_custom_problem():
     assert exact_sift(prob, 3) == 4
     assert exact_sift(prob, 6) == 2
     assert prob.count_multiple(5) == 2
+
+
+def test_explicit_count_multiple_past_int64():
+    prob = build_problem("custom", {"elements": [0, 5, -(2**62), 2**63 - 1, 0], "X": 5})
+    d = math.prod(small_primes(62)[4:])  # 11 * 13 * ... * 61
+    assert d > 2**63
+    assert prob.count_multiple(d) == 2
+    assert prob.count_multiple(2**63 - 1) == 3

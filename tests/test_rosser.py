@@ -383,7 +383,8 @@ def test_chen_decomposition_degenerate_window(table):
 
 
 def chen_reference(N, table):
-    """chen_decomposition with a list-scan prime window and a skip-ahead p2 loop."""
+    """chen_decomposition with a list-scan prime window, a skip-ahead p2 loop and a set lookup per q."""
+    prime_set = set(table.primes.tolist())
     U = N**0.1
     V = N ** (1 / 3)
     ps = table.primes_below(N)
@@ -411,7 +412,7 @@ def chen_reference(N, table):
             sel = survivors & (values % m == 0)
             for v in values[sel]:
                 q = int(v) // m
-                if q > 1 and q < table.limit and q in table:
+                if q > 1 and q < table.limit and q in prime_set:
                     T3 += 1
     T3 = Fraction(T3, 2)
     left = int(np.count_nonzero(factor_count_sieve(N)[values] <= 2))
