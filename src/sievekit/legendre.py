@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import BudgetError, small_primes
-from .problem import _PROFILE_Z, SieveProblem, SiftingDensity, divisor_walk
+from .problem import _PROFILE_Z, DIVISOR_CAP, SieveProblem, SiftingDensity, divisor_walk
 
 EXP_MINUS_EULER = 0.561459483566885  # exp(-Euler constant), Mertens constant
-DIVISOR_CAP = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def legendre_decompose(problem: SieveProblem, z: int, *, divisor_cap: int = DIVI
     blowup with ``divisor_cap``.
     """
     primes = sifting_primes(problem.density, z)
-    if len(primes) > 25 or (1 << len(primes)) > divisor_cap:
+    if (1 << len(primes)) > min(divisor_cap, DIVISOR_CAP):
         raise BudgetError(f"2^{len(primes)} divisors of P({z}) exceed the enumeration cap")
     # above the window the profile covers exactly the sifting primes: 2^pi(z) entries
     prof = problem.profile() if z <= _PROFILE_Z else problem.profile(tuple(primes))

@@ -36,8 +36,10 @@ KINDS = ("interval", "twin", "goldbach", "shifted_prime", "progression", "parity
 # index range in blocks, so there it bounds work, not memory; the explicit
 # kinds still hold every value in an int64 array.
 ORACLE_ELEMENT_CAP = 2 * 10**7
+DIVISOR_CAP = 1 << 25  # most squarefree divisors one walk, or entries one profile, may hold
 _PROFILE_Z = 53  # oracle profiles cover sifting primes below this bound
 _BLOCK = 1 << 18  # index positions per block of the affine residue sieve
+_LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of a value profile spans
 
 
 def _as_fraction(x) -> Fraction:
@@ -194,11 +196,34 @@ class OmegaForm:
 
 
 def _value_histogram(values: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
-    """Counts of ``values`` by the set of ``primes`` dividing them (bit i for primes[i])."""
-    masks = np.zeros(len(values), dtype=np.int64)
-    for i, p in enumerate(primes):
-        masks |= (values % p == 0).astype(np.int64) << i
-    return np.bincount(masks, minlength=1 << len(primes)).astype(np.int64)
+    """Counts of ``values`` by the set of ``primes`` dividing them (bit i for primes[i]).
+
+    The primes are taken in order in greedy runs whose product m stays at
+    most ``_LUT_MODULUS`` (2^18): below 53 these are 2*3*5*7*11*13 = 30030,
+    17*19*23*29, 31*37*41 and 43*47.  Each prime p of a run divides m, so
+    p | v exactly when p | (v mod m); a table of m entries holding, at
+    residue s, the bits of the run's primes that divide s flags the whole
+    run with one ``values % m`` pass and one lookup.  NumPy's ``%`` by a
+    positive m is non-negative for every int64, negatives and 0 included.
+    A prime too large to share a run is tested on its own.
+    """
+    dtype = np.min_scalar_type((1 << len(primes)) - 1)
+    masks = np.zeros(len(values), dtype=dtype)
+    i = 0
+    while i < len(primes):
+        j, m = i + 1, primes[i]
+        while j < len(primes) and m * primes[j] <= _LUT_MODULUS:
+            m *= primes[j]
+            j += 1
+        if j == i + 1:
+            masks |= (values % m == 0).astype(dtype) << i
+        else:
+            lut = np.zeros(m, dtype=dtype)
+            for k in range(i, j):
+                lut[:: primes[k]] |= 1 << k
+            masks |= lut[values % m]
+        i = j
+    return np.bincount(masks, minlength=1 << len(primes)).astype(np.int64, copy=False)
 
 
 class _Profile:
@@ -320,8 +345,15 @@ class SieveProblem:
         return self._values
 
     def profile(self, primes: tuple[int, ...] | None = None) -> _Profile:
+        """The divisibility profile over ``primes`` (default: the primes below 53), cached.
+
+        Raises BudgetError, before any allocation, when the 2^len(primes)
+        histogram entries would exceed ``DIVISOR_CAP``.
+        """
         if primes is None:
             primes = tuple(p for p in small_primes(_PROFILE_Z))
+        if (1 << len(primes)) > DIVISOR_CAP:
+            raise BudgetError(f"2^{len(primes)} profile entries exceed the enumeration cap")
         prof = self._profiles.get(primes)
         if prof is None:
             if self._omega_interval is not None:
@@ -614,14 +646,14 @@ def exact_sift(problem: SieveProblem, z: int) -> int:
     return problem.sift_count(z)
 
 
-def divisor_walk(primes, *, max_nu: int | None = None, cap: int = 1 << 25):
+def divisor_walk(primes, *, max_nu: int | None = None, cap: int = DIVISOR_CAP):
     """Yield (d, factors_descending, mu) over squarefree products of ``primes``.
 
     Primes are consumed in descending order so factor tuples arrive with
     descending factors.  Guards against enumeration blowup via ``cap``.
     """
     ps = sorted(primes, reverse=True)
-    if max_nu is None and len(ps) > 25:
+    if max_nu is None and (1 << len(ps)) > DIVISOR_CAP:
         raise BudgetError(f"2^{len(ps)} squarefree divisors exceed the enumeration guard")
     count = 0
 

@@ -26,7 +26,15 @@ import numpy as np
 
 from .arith import BudgetError, PrimeTable, factorize, small_primes
 from .legendre import density_product, dimension_fit
-from .problem import _PROFILE_Z, SieveProblem, build_problem, divisor_tally, exact_sift, factor_count_sieve
+from .problem import (
+    _PROFILE_Z,
+    DIVISOR_CAP,
+    SieveProblem,
+    build_problem,
+    divisor_tally,
+    exact_sift,
+    factor_count_sieve,
+)
 from .reports import BoundReport
 
 EULER = 0.5772156649015329
@@ -116,7 +124,7 @@ def vacuous_weights(r: int) -> RosserWeightTable:
     return RosserWeightTable(D=math.inf, beta=2.0, r=r)
 
 
-def weight_walk(primes, weights: RosserWeightTable, *, cap: int = 1 << 25):
+def weight_walk(primes, weights: RosserWeightTable, *, cap: int = DIVISOR_CAP):
     """Enumerate kept divisors and boundary divisors, pruning dead branches.
 
     Yields ("rho", value, factors, mu) for divisors with rho = 1 and
@@ -513,8 +521,18 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
     left  = #{p < N : N - p has at most two prime factors}
     rhs   = |S(A, U)| - (1/2) sum over p1 in [U, V) of |S(A_p1, U)|
             - (1/2) #{survivor representations N - p = p1 p2 p3 in range}
-    with A = {N - p : p < N}, U = N^(1/10), V = N^(1/3).  All terms by
-    enumeration; the inequality left >= rhs is the checked assertion.
+    with A = {N - p : p < N}, U = N^(1/10), V = N^(1/3).  The inequality
+    left >= rhs is the checked assertion, and every term is an exact count:
+
+    * |S(A, U)| and the p1 terms scan the values N - p, one ``% p`` pass
+      per prime below U and per p1;
+    * a survivor N - p = p1 p2 q of the triple sum has no prime factor
+      below U, and p1 >= U, p2 >= V > U, so its cofactor q is a prime at
+      least U; the sum counts the primes q in [U, N / (p1 p2)) with
+      N - p1 p2 q prime, pi(N / (p1 p2)) lookups per pair;
+    * left reads Omega from ``factor_count_sieve(2^k)``, 2^k the least
+      power of two at or above N, one cached table for every N in
+      (2^(k-1), 2^k].
     """
     if N % 2 or N < 16:
         raise ValueError("N must be even and >= 16")
@@ -545,10 +563,10 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
             if p2 >= p2_hi:
                 break
             m = p1 * p2
-            sel = survivors & (values % m == 0)
-            T3 += int(np.count_nonzero(table.membership[values[sel] // m]))
+            qs = table.primes[lo : np.searchsorted(table.primes, -(-N // m))]
+            T3 += int(np.count_nonzero(table.membership[N - m * qs]))
     T3 = Fraction(T3, 2)
-    big_omega = factor_count_sieve(N)
+    big_omega = factor_count_sieve(1 << (N - 1).bit_length())
     left = int(np.count_nonzero(big_omega[values] <= 2))
     rhs = T1 - T2 - T3
     singular = Fraction(1)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +200,21 @@ def test_output_file(tmp_path, capsys):
     code = main(["sift", "--problem", "twin", "--x", "100", "--z", "2,4", "--out", str(path)])
     assert code == 0
     assert path.read_text().startswith("problem,z,survivors")
+
+
+DATA = Path(__file__).parent / "data"
+# (argv, golden stdout, exit code); the goldens were written by the CLI
+# before the Chen cofactor count and the grouped profile kernel
+GOLDENS = [
+    (["chen", "--N-range", "10000:10200:2", "--format", "csv"], "chen_range_10000_10200_2.csv", 0),
+    (["chen", "--N", "30030", "--format", "json"], "chen_30030.json", 0),
+    (["verify", "--budget", "small"], "verify_small.txt", 0),
+    (["verify", "--budget", "full"], "verify_full.txt", 0),
+]
+
+
+@pytest.mark.parametrize("argv,golden,code", GOLDENS, ids=[g for _, g, _ in GOLDENS])
+def test_cli_output_matches_golden(capsys, argv, golden, code):
+    got_code, out = run(argv, capsys)
+    assert got_code == code
+    assert out.encode() == (DATA / golden).read_bytes()

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sievekit.arith import BudgetError, primes_up_to, primes_up_to_simple, small_primes
 from sievekit.problem import (
     ORACLE_ELEMENT_CAP,
     ResidueSystem,
     SiftingDensity,
+    _value_histogram,
     build_problem,
     count_in_class,
     exact_sift,
@@ -292,3 +295,78 @@ def test_explicit_count_multiple_past_int64():
     assert d > 2**63
     assert prob.count_multiple(d) == 2
     assert prob.count_multiple(2**63 - 1) == 3
+
+
+# -- value profile kernel --------------------------------------------------------
+
+
+def value_histogram_per_prime(values, primes):
+    """The kernel the grouped lookup replaced: one ``values % p`` pass per prime."""
+    masks = np.zeros(len(values), dtype=np.int64)
+    for i, p in enumerate(primes):
+        masks |= (values % p == 0).astype(np.int64) << i
+    return np.bincount(masks, minlength=1 << len(primes)).astype(np.int64)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# 2 * 131071 and 4 * 65521 fit under 2^18, one more factor does not;
+# 262147 is the least prime above 2^18, so it always forms a run of its own
+PRIME_POOL = small_primes(100) + (509, 521, 65521, 131071, 262139, 262147, 1000003)
+VALUES = st.lists(
+    st.one_of(
+        st.integers(INT64_MIN, INT64_MAX),
+        st.builds(lambda k, ps: k * math.prod(ps), st.integers(-1000, 1000),
+                  st.lists(st.sampled_from(PRIME_POOL), max_size=3)).filter(lambda v: INT64_MIN <= v <= INT64_MAX),
+    ),
+    max_size=300,
+).map(lambda vs: np.array(vs + [0, INT64_MIN, INT64_MAX, -1, 1], dtype=np.int64))
+
+
+@given(VALUES, st.lists(st.sampled_from(PRIME_POOL), unique=True, max_size=25).map(tuple))
+@example(np.arange(-3000, 3000, dtype=np.int64), small_primes(53))
+@example(np.arange(-3000, 3000, dtype=np.int64), (2, 131071, 3, 65521, 5))
+@example(np.array([0, 262147, -262147, 2 * 262147, INT64_MIN, INT64_MAX], dtype=np.int64), (262147,))
+@example(np.array([0, 262147 * 13, INT64_MIN, INT64_MAX], dtype=np.int64), (13, 262147, 2, 3))
+@example(np.arange(-10**4, 10**4, dtype=np.int64), small_primes(100))
+@settings(max_examples=150, deadline=None)
+def test_value_histogram_matches_per_prime_kernel(values, primes):
+    got = _value_histogram(values, primes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, value_histogram_per_prime(values, primes))
+
+
+@pytest.mark.parametrize("z", [2, 3, 14, 30, 53, 60, 80])
+def test_explicit_kind_profiles_match_per_prime_kernel(table, z):
+    rng = np.random.default_rng(z)
+    customs = rng.integers(-(10**12), 10**12, size=2000).tolist() + [0, INT64_MIN, INT64_MAX, 30030, -510510]
+    problems = [
+        build_problem("parity", {"x": 10**5, "r": 0}),
+        build_problem("parity", {"x": 10**5, "r": 1}),
+        build_problem("shifted_prime", {"x": 10**5}, table=table),
+        build_problem("custom", {"elements": customs}),
+    ]
+    primes = small_primes(z)
+    for prob in problems:
+        want = value_histogram_per_prime(prob.values(), primes)
+        assert np.array_equal(prob.profile(primes).hist, want), (prob.kind, z)
+        if z == 53:
+            assert np.array_equal(prob.profile().hist, want), prob.kind
+
+
+def test_profile_budget_guard_before_allocation():
+    primes = small_primes(102)
+    assert len(primes) == 26  # 2^26 histogram entries, past the 2^25 cap
+    problems = [
+        build_problem("custom", {"elements": list(range(-50, 50))}),
+        build_problem("parity", {"x": 1000, "r": 0}),
+        build_problem("twin", {"x": 1000}),
+    ]
+    for prob in problems:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                prob.profile(primes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, (prob.kind, peak)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sievekit.arith import factor_squarefree, factorize, mobius, primes_up_to, small_primes
+from sievekit.arith import BudgetError, factor_squarefree, factorize, mobius, primes_up_to, small_primes
 from sievekit.problem import build_problem, exact_sift, factor_count_sieve
 from sievekit.rosser import (
     TWO_E_EULER,
@@ -303,6 +303,12 @@ def test_parity_extremal_full_identity_with_defect():
     assert rep.exact == rep.rho_sum - rep.sigma_sum
 
 
+def test_parity_extremal_profile_budget():
+    # 26 primes below 103: a 2^26-entry profile, refused before it is built
+    with pytest.raises(BudgetError):
+        parity_extremal(10**4, 103, 0)
+
+
 def test_parity_extremal_ratio_trend():
     ratios = []
     for x in (10**4, 10**5, 10**6):
@@ -449,6 +455,67 @@ def test_chen_decomposition_window_edges(table):
 @settings(max_examples=60, deadline=None)
 def test_chen_decomposition_matches_reference(table, N):
     assert_chen_matches_reference(N, table)
+
+
+def chen_per_pair_scan(N, table):
+    """chen_decomposition as it was before the cofactor count and the shared Omega table.
+
+    The triple sum scans every value N - p once per pair (p1, p2) for
+    divisibility by p1 p2 and tests the quotient for primality; left reads
+    Omega from a table of exactly N entries.
+    """
+    U = N**0.1
+    V = N ** (1 / 3)
+    values = (N - table.primes_below(N)).astype(np.int64)
+    survivors = np.ones(len(values), dtype=bool)
+    for p in table.primes_below(int(U) + 1):
+        if p < U:
+            survivors &= values % int(p) != 0
+    T1 = int(np.count_nonzero(survivors))
+    lo, hi = np.searchsorted(table.primes, [U, V])
+    window = table.primes[lo:hi].tolist()
+    T2 = Fraction(sum(int(np.count_nonzero(survivors & (values % p1 == 0))) for p1 in window), 2)
+    T3 = 0
+    for p1 in window:
+        p2_hi = math.sqrt(N / p1)
+        for p2 in table.primes[hi:]:
+            p2 = int(p2)
+            if p2 >= p2_hi:
+                break
+            m = p1 * p2
+            sel = survivors & (values % m == 0)
+            T3 += int(np.count_nonzero(table.membership[values[sel] // m]))
+    T3 = Fraction(T3, 2)
+    left = int(np.count_nonzero(factor_count_sieve(N)[values] <= 2))
+    rhs = T1 - T2 - T3
+    singular = Fraction(1)
+    for p, _ in factorize(N):
+        if p > 2:
+            singular *= Fraction(p - 1, p - 2)
+    shape = twin_constant() * float(singular) * N / math.log(N) ** 2
+    return ChenReport(
+        N=N, left=left, sifted=T1, small_factor_sum=T2, triple_sum=T3,
+        rhs=rhs, inequality_holds=left >= rhs,
+        singular_factor=singular, main_shape=shape,
+        ratio=left / shape if shape else math.inf,
+    )
+
+
+# every N up to 2^17 + 2 shares its Omega table with the N below the same power of two
+CHEN_POWERS = [2**k + s for k in range(12, 18) for s in (-2, 0, 2)] + [30030, 10**5]
+
+
+@pytest.fixture(scope="module")
+def chen_table():
+    return primes_up_to(2**17 + 3)
+
+
+def test_chen_cofactor_count_and_shared_omega_match_per_pair_scan(chen_table):
+    for N in list(range(16, 4001, 2)) + CHEN_POWERS:
+        got, want = chen_decomposition(N, chen_table), chen_per_pair_scan(N, chen_table)
+        assert got.triple_sum == want.triple_sum, N
+        assert got.left == want.left, N
+        assert got.row() == want.row(), N
 
 
 def test_twin_constant_value():
