@@ -167,6 +167,19 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending."""
+    return tuple(p for p, _ in factorize(n))
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)^(number of prime factors)."""
     if n < 1:

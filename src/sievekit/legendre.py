@@ -61,20 +61,20 @@ def sifting_primes(density: SiftingDensity, z: int) -> list[int]:
     return [p for p in small_primes(z) if density.omega(p) != 0]
 
 
-def legendre_decompose(problem: SieveProblem, z: int, *, divisor_cap: int = DIVISOR_CAP) -> SieveDecomposition:
+def legendre_decompose(problem: SieveProblem, z: int) -> SieveDecomposition:
     """Evaluate the exact sieve identity at level z.
 
     Enumerates squarefree divisors of P(z) with nonzero density (the others
-    contribute empty classes), so the count is exact.  Guards the 2^pi(z)
-    blowup with ``divisor_cap``.
+    contribute empty classes), so the count is exact.  Raises BudgetError
+    when the 2^pi(z) divisors exceed ``DIVISOR_CAP``.
     """
     primes = sifting_primes(problem.density, z)
-    if (1 << len(primes)) > min(divisor_cap, DIVISOR_CAP):
+    if (1 << len(primes)) > DIVISOR_CAP:
         raise BudgetError(f"2^{len(primes)} divisors of P({z}) exceed the enumeration cap")
     # above the window the profile covers exactly the sifting primes: 2^pi(z) entries
     prof = problem.profile() if z <= _PROFILE_Z else problem.profile(tuple(primes))
     total = 0
-    for _d, factors, mu in divisor_walk(primes, cap=divisor_cap):
+    for _d, factors, mu in divisor_walk(primes):
         total += mu * prof.count_multiple(factors)
     main = density_product(problem.density, z) * problem.X
     return SieveDecomposition(main, Fraction(total) - main, total)

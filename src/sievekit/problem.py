@@ -16,6 +16,10 @@ Supported kinds:
 * ``progression``    n < x with n = l (mod k),         omega(p)=0 for p|k else 1, X = x/k
 * ``parity``         n < x, total prime divisors = r,  omega = 1, X = x/2
 * ``custom``         explicit elements + density
+
+The four affine kinds (interval, twin, goldbach, progression) are each one
+rule for the forbidden index classes Omega(p) (``_affine_classes``); their
+omega(p) is |Omega(p)| and their |A_d| a CRT count of those classes.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .arith import BudgetError, PrimeTable, factorize, li, primes_up_to_simple, small_primes
+from .arith import BudgetError, PrimeTable, factorize, li, prime_factors, primes_up_to_simple, small_primes
 
 KINDS = ("interval", "twin", "goldbach", "shifted_prime", "progression", "parity", "custom")
 
@@ -63,7 +67,7 @@ class SiftingDensity:
         w = self._memo.get(p)
         if w is None:
             w = _as_fraction(self._rule(p))
-            if not 0 <= w < p:
+            if not 0 <= w.numerator < p * w.denominator:  # 0 <= w < p, in ints
                 raise ValueError(f"omega({p}) = {w} violates 0 <= omega(p) < p")
             self._memo[p] = w
         return w
@@ -117,26 +121,21 @@ class ResidueSystem:
         roots = [0]
         for p in d_primes:
             res = self.classes.get(p, ())
-            new = []
             # CRT step: r mod m, s mod p -> unique class mod m*p
-            inv = pow(m % p, -1, p) if m % p else None
+            inv = pow(m, -1, p)
+            new = []
             for r in roots:
                 for s in res:
-                    t = (s - r) * inv % p
-                    new.append(r + m * t)
+                    new.append(r + m * ((s - r) * inv % p))
             roots = new
             m *= p
         return roots
 
     def count_in_interval(self, M: int, N: int, d_primes) -> int:
         """#{n in [M, M+N) : n in Omega(p) for every p | d}."""
-        m = 1
-        for p in d_primes:
-            m *= p
-        total = 0
-        for r in self.roots_mod(d_primes):
-            total += (M + N - 1 - r) // m - (M - 1 - r) // m
-        return total
+        m = math.prod(d_primes)
+        hi, lo = M + N - 1, M - 1
+        return sum((hi - r) // m - (lo - r) // m for r in self.roots_mod(d_primes))
 
 
 @dataclass(frozen=True)
@@ -296,7 +295,6 @@ class SieveProblem:
         hi: int | None = None,
         explicit: np.ndarray | None = None,
         residues: ResidueSystem | None = None,
-        residue_z: int = _PROFILE_Z,
         omega_interval: tuple[int, int] | None = None,
         table: PrimeTable | None = None,
     ):
@@ -310,8 +308,8 @@ class SieveProblem:
         self._hi = hi
         self._explicit = explicit
         self.residues = residues
-        self._residue_z = residue_z
         self._omega_interval = omega_interval
+        self._wide: dict[int, ResidueSystem] = {}  # affine classes past _PROFILE_Z, by power-of-two bound
         self._table = table
         self._values: np.ndarray | None = explicit
         self._profiles: dict[tuple[int, ...], _Profile] = {}
@@ -369,50 +367,18 @@ class SieveProblem:
         """|A_d|: elements whose value is divisible by squarefree d.
 
         ``d_primes`` are the primes of d when the caller already holds them
-        (a divisor walk does); otherwise d is factored here.
+        (a divisor walk does); otherwise d is factored here.  An affine kind
+        counts the indices lying in Omega(p) for every p | d by CRT.
         """
         if d_primes is None:
-            d_primes = [p for p, _ in factorize(d)] if d > 1 else []
-        if self.kind == "interval":
-            return (self._hi - 1) // d - (self._lo - 1) // d
-        if self.kind in ("twin", "goldbach"):
-            roots = self._value_roots(d_primes)
-            lo, hi = self._lo, self._hi
-            return sum((hi - 1 - r) // d - (lo - 1 - r) // d for r in roots)
-        if self.kind == "progression":
-            return self._progression_count(d, self.params["k"], self.params["l"])
+            d_primes = prime_factors(d)
+        if self._omega_interval is not None:
+            M, N = self._omega_interval
+            return self._residues_below(max(d_primes, default=2) + 1).count_in_interval(M, N, d_primes)
         vals = self.values()
         if d > 2**63:  # above every int64 |value|, so only 0 is a multiple
             return int(np.count_nonzero(vals == 0))
         return int(np.count_nonzero(vals % d == 0))
-
-    def _progression_count(self, d: int, k: int, l: int) -> int:
-        # n = l (mod k), n = 0 (mod d), n in [lo, hi); solvable iff gcd(d, k) | l
-        g = math.gcd(d, k)
-        if l % g:
-            return 0
-        m = d * k // g
-        kk = k // g
-        t = ((l // g) * pow(d // g, -1, kk)) % kk if kk > 1 else 0
-        r = (d * t) % m
-        assert r % d == 0 and (r - l) % k == 0
-        return (self._hi - 1 - r) // m - (self._lo - 1 - r) // m
-
-    def _value_roots(self, d_primes) -> list[int]:
-        """Roots mod prod(d_primes) of the defining polynomial of the kind."""
-        roots = [0]
-        m = 1
-        for p in d_primes:
-            if self.kind == "twin":
-                local = {0, (-2) % p}
-            elif self.kind == "goldbach":
-                local = {0, self.params["N"] % p}
-            else:
-                raise AssertionError(self.kind)
-            inv = pow(m % p, -1, p)
-            roots = [r + m * ((s - r) * inv % p) for r in roots for s in local]
-            m *= p
-        return roots
 
     def sift_count(self, z: int, d_primes=()) -> int:
         """Exact #{a in A : d | a, gcd(a, P(z)) = 1}, the oracle count.
@@ -438,17 +404,29 @@ class SieveProblem:
     def omega_form(self, z: int | None = None) -> OmegaForm:
         """The equivalent interval-plus-residue-classes description.
 
-        The stored residue classes cover the primes below the window the
-        problem was built with; a larger ``z`` extends them to every prime
-        below z, so sifting at z sees all of its primes.
+        The stored residue classes cover the primes below ``_PROFILE_Z``; a
+        larger ``z`` extends them to every prime below z, so sifting at z
+        sees all of its primes.
         """
-        if self._omega_interval is None or self.residues is None:
+        if self._omega_interval is None:
             raise ValueError(f"kind {self.kind!r} has no residue-class form")
         M, N = self._omega_interval
-        residues = self.residues
-        if z is not None and z > self._residue_z:
-            residues = _affine_residues(self.kind, self.params, z)
-        return OmegaForm(M, N, residues)
+        return OmegaForm(M, N, self.residues if z is None else self._residues_below(z))
+
+    def _residues_below(self, z: int) -> ResidueSystem:
+        """The kind's classes for at least every prime below z.
+
+        Past ``_PROFILE_Z`` the classes run to the power of two at or above
+        z, built once per such bound and kept, so a divisor walk or a
+        repeated ``omega_form(z)`` call never rebuilds them.
+        """
+        if z <= _PROFILE_Z:
+            return self.residues
+        bound = 1 << (z - 1).bit_length()
+        rs = self._wide.get(bound)
+        if rs is None:
+            rs = self._wide[bound] = _affine_residues(self.kind, self.params, bound)
+        return rs
 
     # -- serialization ----------------------------------------------------
 
@@ -460,25 +438,45 @@ class SieveProblem:
         return f"{self.kind}({inner})"
 
 
-def _affine_residues(kind: str, params: dict, z_max: int) -> ResidueSystem:
-    classes: dict[int, tuple[int, ...]] = {}
-    for p in small_primes(z_max):
-        if kind == "interval":
-            classes[p] = (0,)
-        elif kind == "twin":
-            classes[p] = (0,) if p == 2 else (0, p - 2)
-        elif kind == "goldbach":
-            N = params["N"]
-            classes[p] = tuple(sorted({0, N % p}))
-        elif kind == "progression":
-            k, l = params["k"], params["l"]
-            if k % p == 0:
-                continue
-            classes[p] = ((-l * pow(k, -1, p)) % p,)
-    return ResidueSystem(classes)
+def _affine_classes(kind: str, params: Mapping, p: int) -> tuple[int, ...]:
+    """Omega(p) of an affine kind: the index classes mod p whose element p divides.
+
+    This rule is the whole arithmetic of the kind: its density is
+    omega(p) = |Omega(p)|, and |A_d| counts the indices lying in Omega(p)
+    for every p | d.  A progression indexes n = l + k t, so p | n exactly
+    when t = -l / k (mod p); a prime of k divides no element.
+    """
+    if kind == "interval":
+        return (0,)
+    if kind == "twin":
+        return (0,) if p == 2 else (0, p - 2)
+    if kind == "goldbach":
+        r = params["N"] % p
+        return (0, r) if r else (0,)
+    k, l = params["k"], params["l"]
+    return () if k % p == 0 else ((-l * pow(k, -1, p)) % p,)
 
 
-def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None, residue_z: int = _PROFILE_Z) -> SieveProblem:
+def _affine_residues(kind: str, params: Mapping, z_max: int) -> ResidueSystem:
+    classes = {p: _affine_classes(kind, params, p) for p in small_primes(z_max)}
+    return ResidueSystem({p: res for p, res in classes.items() if res})
+
+
+def _affine_problem(kind: str, params: dict, X: Fraction, kappa: float, lo: int, hi: int,
+                    omega_interval: tuple[int, int] | None = None) -> SieveProblem:
+    """An affine problem over the values at n in [lo, hi), sifted as the indices of ``omega_interval``.
+
+    ``omega_interval`` (M, N) defaults to the index range [lo, hi) itself.
+    """
+    dens = SiftingDensity(lambda p: Fraction(len(_affine_classes(kind, params, p))), kappa)
+    return SieveProblem(
+        kind, params, X, dens, lo=lo, hi=hi,
+        residues=_affine_residues(kind, params, _PROFILE_Z),
+        omega_interval=(lo, hi - lo) if omega_interval is None else omega_interval,
+    )
+
+
+def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None) -> SieveProblem:
     """Construct a sieve problem of the given kind.
 
     ``table`` is required for ``shifted_prime`` and may be supplied for
@@ -490,36 +488,17 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         x, y = int(params["x"]), int(params["y"])
         if not 2 <= y <= x:
             raise ValueError("interval needs 2 <= y <= x")
-        lo, hi = x - y + 1, x + 1
-        prob = SieveProblem(
-            kind, {"x": x, "y": y}, Fraction(y), SiftingDensity.unit(1.0),
-            lo=lo, hi=hi,
-            residues=_affine_residues(kind, params, residue_z), residue_z=residue_z,
-            omega_interval=(lo, y),
-        )
-        return prob
+        return _affine_problem(kind, {"x": x, "y": y}, Fraction(y), 1.0, x - y + 1, x + 1)
     if kind == "twin":
         x = int(params["x"])
         if x < 5:
             raise ValueError("twin needs x >= 5")
-        dens = SiftingDensity(lambda p: Fraction(1 if p == 2 else 2), 2.0)
-        return SieveProblem(
-            kind, {"x": x}, Fraction(x), dens,
-            lo=1, hi=x - 2,
-            residues=_affine_residues(kind, params, residue_z), residue_z=residue_z,
-            omega_interval=(1, x - 3),
-        )
+        return _affine_problem(kind, {"x": x}, Fraction(x), 2.0, 1, x - 2)
     if kind == "goldbach":
         N = int(params["N"])
         if N < 8 or N % 2:
             raise ValueError("goldbach needs even N >= 8")
-        dens = SiftingDensity(lambda p: Fraction(1 if N % p == 0 else 2), 2.0)
-        return SieveProblem(
-            kind, {"N": N}, Fraction(N), dens,
-            lo=3, hi=N - 2,
-            residues=_affine_residues(kind, params, residue_z), residue_z=residue_z,
-            omega_interval=(3, N - 5),
-        )
+        return _affine_problem(kind, {"N": N}, Fraction(N), 2.0, 3, N - 2)
     if kind == "shifted_prime":
         x = int(params["x"])
         if table is None or table.limit < x + 2:
@@ -535,16 +514,10 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         if k > 1 and math.gcd(k, l) != 1:
             raise ValueError(f"(k, l) = ({k}, {l}) not coprime")
         l = l % k if k > 1 else 0
-        dens = SiftingDensity(lambda p, _k=k: Fraction(0) if _k % p == 0 else Fraction(1), 1.0)
-        lo = 1
-        first = l if l >= lo else l + k * ((lo - l + k - 1) // k)
-        count = max(0, (x - 1 - first) // k + 1) if first < x else 0
-        return SieveProblem(
-            kind, {"x": x, "k": k, "l": l}, Fraction(x, k), dens,
-            lo=lo, hi=x,
-            residues=_affine_residues(kind, {"k": k, "l": l}, residue_z), residue_z=residue_z,
-            omega_interval=((first - l) // k if count else 0, count),
-        )
+        first = l or k  # the least n >= 1 in the class
+        count = (x - 1 - first) // k + 1 if first < x else 0
+        return _affine_problem(kind, {"x": x, "k": k, "l": l}, Fraction(x, k), 1.0, 1, x,
+                               ((first - l) // k if count else 0, count))
     if kind == "parity":
         x, r = int(params["x"]), int(params["r"])
         if r not in (0, 1):
@@ -558,8 +531,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         vals = np.asarray(params["elements"], dtype=np.int64)
         dens = params.get("density") or SiftingDensity.unit(1.0)
         X = _as_fraction(params.get("X", len(vals)))
-        return SieveProblem(kind, {"n_elements": len(vals)}, X, dens, explicit=vals,
-                            residues=params.get("residues"))
+        return SieveProblem(kind, {"n_elements": len(vals)}, X, dens, explicit=vals)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -646,21 +618,19 @@ def exact_sift(problem: SieveProblem, z: int) -> int:
     return problem.sift_count(z)
 
 
-def divisor_walk(primes, *, max_nu: int | None = None, cap: int = DIVISOR_CAP):
+def divisor_walk(primes, *, max_nu: int | None = None):
     """Yield (d, factors_descending, mu) over squarefree products of ``primes``.
 
     Primes are consumed in descending order so factor tuples arrive with
-    descending factors.  Guards against enumeration blowup via ``cap``.
+    descending factors.  Raises BudgetError past ``DIVISOR_CAP`` divisors.
     """
     ps = sorted(primes, reverse=True)
-    if max_nu is None and (1 << len(ps)) > DIVISOR_CAP:
-        raise BudgetError(f"2^{len(ps)} squarefree divisors exceed the enumeration guard")
     count = 0
 
     def rec(i, value, factors):
         nonlocal count
         count += 1
-        if count > cap:
+        if count > DIVISOR_CAP:
             raise BudgetError("divisor enumeration exceeded cap")
         yield value, tuple(factors), (-1) ** len(factors)
         if max_nu is not None and len(factors) >= max_nu:

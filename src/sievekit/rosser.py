@@ -39,6 +39,7 @@ from .reports import BoundReport
 
 EULER = 0.5772156649015329
 TWO_E_EULER = 2 * math.exp(EULER)
+LINEAR_SLACK = 0.1  # relative slack of the linear-sieve verdict, for the o(1) terms of phi_r
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +125,16 @@ def vacuous_weights(r: int) -> RosserWeightTable:
     return RosserWeightTable(D=math.inf, beta=2.0, r=r)
 
 
-def weight_walk(primes, weights: RosserWeightTable, *, cap: int = DIVISOR_CAP):
+def weight_walk(primes, weights: RosserWeightTable):
     """Enumerate kept divisors and boundary divisors, pruning dead branches.
 
     Yields ("rho", value, factors, mu) for divisors with rho = 1 and
     ("sigma", value, factors, 0) for the discarded boundary; a prefix that
     fails its level test kills its whole subtree, so the walk stays
-    proportional to the kept set.
+    proportional to the kept set.  Raises BudgetError past ``DIVISOR_CAP``
+    visited divisors.  A failed level test only happens at a prefix whose
+    length has the parity of r (eta is 1 off parity), so every pruned child
+    is a boundary divisor.
     """
     ps = sorted(primes, reverse=True)
     count = 0
@@ -138,7 +142,7 @@ def weight_walk(primes, weights: RosserWeightTable, *, cap: int = DIVISOR_CAP):
     def rec(i, value, factors):
         nonlocal count
         count += 1
-        if count > cap:
+        if count > DIVISOR_CAP:
             raise BudgetError("weight enumeration exceeded cap")
         yield "rho", value, tuple(factors), (-1) ** len(factors)
         for j in range(i, len(ps)):
@@ -148,7 +152,7 @@ def weight_walk(primes, weights: RosserWeightTable, *, cap: int = DIVISOR_CAP):
             factors.append(p)
             if weights.eta(nu, child, p):
                 yield from rec(j + 1, child, factors)
-            elif nu % 2 == weights.r % 2:
+            else:
                 yield "sigma", child, tuple(factors), 0
             factors.pop()
 
@@ -353,23 +357,15 @@ def default_sieve_functions(tau_max: float = 12.0) -> SieveFunctionTable:
 # linear-sieve bound and the parity extremal example
 
 
-def linear_sieve_bound(
-    problem: SieveProblem,
-    z: int,
-    D: float,
-    r: int,
-    *,
-    eps: float = 0.1,
-    functions: SieveFunctionTable | None = None,
-) -> BoundReport:
+def linear_sieve_bound(problem: SieveProblem, z: int, D: float, r: int) -> BoundReport:
     """Main term phi_r(log D / log z) V(z) X with an exact remainder tally.
 
     The main-term factor carries o(1) terms, so the verdict is
-    directional-with-slack: the bound times (1 + eps) must land on the
-    correct side of the oracle.  A dimension far from 1 is flagged in the
-    params, not fatal.
+    directional-with-slack: the bound times (1 + ``LINEAR_SLACK``) must land
+    on the correct side of the oracle.  A dimension far from 1 is flagged in
+    the params, not fatal.
     """
-    functions = functions or default_sieve_functions()
+    functions = default_sieve_functions()
     kappa = dimension_fit(problem.density, 100, 10**5)
     tau = math.log(D) / math.log(z)
     main = functions.phi(r, tau) * float(density_product(problem.density, z) * problem.X)
@@ -389,7 +385,7 @@ def linear_sieve_bound(
         remainder_bound=float(rem),
         bound=bound,
         exact=exact_sift(problem, z),
-        slack=eps,
+        slack=LINEAR_SLACK,
     )
 
 
@@ -415,7 +411,7 @@ class ParityExtremalReport:
         }
 
 
-def parity_extremal(x: int, z: int, r: int, *, functions: SieveFunctionTable | None = None) -> ParityExtremalReport:
+def parity_extremal(x: int, z: int, r: int) -> ParityExtremalReport:
     """Sift the fixed-parity sequence and compare with its weight-sum form.
 
     With level D = x and beta = 2 the discarded sigma branches are empty
@@ -438,7 +434,7 @@ def parity_extremal(x: int, z: int, r: int, *, functions: SieveFunctionTable | N
             rho_sum += mu * prof.count_multiple(factors)
         else:
             sigma_sum += problem.sift_count(factors[-1], factors)
-    functions = functions or default_sieve_functions()
+    functions = default_sieve_functions()
     tau = math.log(x) / math.log(z)
     denom = (x / 2) * functions.phi(r, min(tau, float(functions.taus[-1]))) * float(
         density_product(problem.density, z)

@@ -27,9 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import BudgetError, small_primes
+from .arith import BudgetError, divisors, mobius, prime_factors, small_primes
 from .problem import OmegaForm, ResidueSystem, SieveProblem
 from .reports import BoundReport
+
+DUAL_ENERGY_RTOL = 1e-9  # relative drift allowed between the complex dual energy and the exact form
+PSEUDO_Z_CAP = 100  # largest z of a dense pseudo-character table
+PSEUDO_N_CAP = 10**4  # longest interval of a dense pseudo-character table
 
 
 def _supported_squarefree(z: int, residues: ResidueSystem) -> list[tuple[int, tuple[int, ...]]]:
@@ -121,36 +125,21 @@ def quadratic_form(weights: LambdaWeights, residues: ResidueSystem, *, check_dia
     agree exactly.
     """
     items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
-    dens = {d: Fraction(residues.size_d(_factors(d)), d) for d, _ in items}
+    dens = {d: Fraction(residues.size_d(prime_factors(d)), d) for d, _ in items}
     S = Fraction(0)
     for d1, l1 in items:
         for d2, l2 in items:
             g = math.gcd(d1, d2)
-            gf = _factors(g)
+            gf = prime_factors(g)
             S += dens[d1] * dens[d2] * Fraction(g, residues.size_d(gf)) * l1 * l2
     if check_diagonal:
         xi = xi_transform(weights, residues)
         S_diag = Fraction(0)
         for f, val in xi.items():
-            S_diag += val * val / H_factor(_factors(f), residues)
+            S_diag += val * val / H_factor(prime_factors(f), residues)
         if S_diag != S:
             raise AssertionError("diagonalized form disagrees with the double sum")
     return S
-
-
-def _factors(q: int) -> tuple[int, ...]:
-    out = []
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return tuple(out)
 
 
 def xi_transform(weights: LambdaWeights, residues: ResidueSystem) -> dict[int, Fraction]:
@@ -164,7 +153,7 @@ def xi_transform(weights: LambdaWeights, residues: ResidueSystem) -> dict[int, F
         total = Fraction(0)
         for d, lam in items:
             if d % f == 0:
-                total += Fraction(residues.size_d(_factors(d)), d) * lam
+                total += Fraction(residues.size_d(prime_factors(d)), d) * lam
         out[f] = total
     return out
 
@@ -174,11 +163,11 @@ def invert_xi(xi: dict[int, Fraction], residues: ResidueSystem, z: int) -> dict[
     out: dict[int, Fraction] = {}
     supported = sorted(xi)
     for d in supported:
-        dfac = _factors(d)
+        dfac = prime_factors(d)
         total = Fraction(0)
         for g in supported:
             if d * g < z and math.gcd(d, g) == 1 and d * g in xi:
-                total += (-1) ** len(_factors(g)) * xi[d * g]
+                total += mobius(g) * xi[d * g]
         out[d] = Fraction(d, residues.size_d(dfac)) * total
     return out
 
@@ -191,43 +180,32 @@ def _as_form(problem, z: int) -> OmegaForm:
     raise TypeError("expected a SieveProblem with a residue form or an OmegaForm")
 
 
-def _true_remainder(form: OmegaForm, weights: LambdaWeights, *, approx: bool = False):
-    """Signed remainder sum of lambda(d1) lambda(d2) R_[d1,d2] over the interval.
-
-    ``approx`` accumulates in float, for large z where exact rationals are
-    needlessly heavy; the bound margin dwarfs the rounding there.
-    """
-    zero = 0.0 if approx else Fraction(0)
-    coeff: dict[int, object] = {}
-    items = [
-        (d, float(lam) if approx else lam)
-        for d, lam in weights.values.items()
-        if lam != 0
-    ]
+def _true_remainder(form: OmegaForm, weights: LambdaWeights) -> Fraction:
+    """Signed remainder sum of lambda(d1) lambda(d2) R_[d1,d2] over the interval, exact."""
+    coeff: dict[int, Fraction] = {}
+    items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
     for d1, l1 in items:
         for d2, l2 in items:
             m = d1 * d2 // math.gcd(d1, d2)
-            coeff[m] = coeff.get(m, zero) + l1 * l2
-    total = zero
+            coeff[m] = coeff.get(m, 0) + l1 * l2
+    total = Fraction(0)
     for m, c in coeff.items():
-        fac = _factors(m)
+        fac = prime_factors(m)
         count = form.residues.count_in_interval(form.M, form.N, fac)
         main = Fraction(form.residues.size_d(fac), m) * form.N
-        total += c * ((count - main) if not approx else float(count - main))
+        total += c * (count - main)
     return total
 
 
-def selberg_upper_bound(problem, z: int, *, worst_case: bool = False, validate: bool = False,
-                        approx_remainder: bool = False) -> BoundReport:
+def selberg_upper_bound(problem, z: int, *, worst_case: bool = False) -> BoundReport:
     """Upper bound N/G + R for the sifted interval, remainder tallied exactly.
 
     The signed true remainder keeps ``bound >= exact`` an identity (the
     bound equals the full square sum over the interval); ``worst_case``
-    swaps in the crude (sum |Omega(d)|)^2 estimate and ``approx_remainder``
-    trades exact rationals for floats at large z.
+    swaps in the crude (sum |Omega(d)|)^2 estimate.
     """
     form = _as_form(problem, z)
-    weights = optimal_lambda(z, form.residues, validate=validate)
+    weights = optimal_lambda(z, form.residues, validate=False)
     main = Fraction(form.N) / weights.G
     if worst_case:
         rem = sum(
@@ -235,7 +213,7 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False, validate: 
             Fraction(0),
         ) ** 2
     else:
-        rem = _true_remainder(form, weights, approx=approx_remainder)
+        rem = _true_remainder(form, weights)
     bound = main + rem
     exact = form.sift_count(z)
     desc = problem.describe() if isinstance(problem, SieveProblem) else f"interval[{form.M},{form.M + form.N})"
@@ -253,28 +231,7 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False, validate: 
 
 def ramanujan_sum(q: int, m: int) -> int:
     """c_q(m) by Mobius over divisors: sum of u mu(q/u) over u | gcd(q, m)."""
-    g = math.gcd(q, m) if m else q
-    total = 0
-    for u in range(1, g + 1):
-        if g % u == 0:
-            total += u * _mobius_int(q // u)
-    return total
-
-
-def _mobius_int(n: int) -> int:
-    if n == 1:
-        return 1
-    sign = 1
-    for p in _factors(n):
-        m = n
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e > 1:
-            return 0
-        sign = -sign
-    return sign
+    return sum(u * mobius(q // u) for u in divisors(math.gcd(q, m)))
 
 
 def dual_coefficient_sum(weights: LambdaWeights, residues: ResidueSystem) -> Fraction:
@@ -285,37 +242,22 @@ def dual_coefficient_sum(weights: LambdaWeights, residues: ResidueSystem) -> Fra
     sums reduced to integer Ramanujan sums.
     """
     items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
-    roots = {d: residues.roots_mod(_factors(d)) for d, _ in items}
+    roots = {d: residues.roots_mod(prime_factors(d)) for d, _ in items}
     total = Fraction(0)
     for d1, l1 in items:
         for d2, l2 in items:
-            g = math.gcd(d1, d2)
+            qs = divisors(math.gcd(d1, d2))
             inner = 0
             for h1 in roots[d1]:
                 for h2 in roots[d2]:
-                    acc = 0
-                    for q in _divisors(g):
-                        acc += ramanujan_sum(q, h1 - h2)
-                    inner += acc
+                    inner += sum(ramanujan_sum(q, h1 - h2) for q in qs)
             total += l1 * l2 * Fraction(inner, d1 * d2)
     return total
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p in _factors(n):
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def dual_b_values(weights: LambdaWeights, residues: ResidueSystem) -> tuple[list[Fraction], np.ndarray]:
     """Farey points a/q (q < z supported) and complex coefficients b(a/q)."""
-    roots = {d: residues.roots_mod(_factors(d)) for d in weights.values}
+    roots = {d: residues.roots_mod(prime_factors(d)) for d in weights.values}
     points: list[Fraction] = []
     values: list[complex] = []
     for q, _fac in _supported_squarefree(weights.z, residues):
@@ -333,7 +275,7 @@ def dual_b_values(weights: LambdaWeights, residues: ResidueSystem) -> tuple[list
     return points, np.asarray(values, dtype=complex)
 
 
-def linnik_bound(problem, z: int, *, check_dual: bool = True, rel_tol: float = 1e-9) -> BoundReport:
+def linnik_bound(problem, z: int, *, check_dual: bool = True) -> BoundReport:
     """(N + z^2)/G bound derived through the dual exponential-sum route.
 
     With ``check_dual``, verifies (a) the Farey coefficient energy equals
@@ -353,7 +295,7 @@ def linnik_bound(problem, z: int, *, check_dual: bool = True, rel_tol: float = 1
             raise AssertionError("dual coefficient energy disagrees with the form")
         points, b = dual_b_values(weights, form.residues)
         energy = float(np.sum(np.abs(b) ** 2))
-        if abs(energy - float(S)) > rel_tol * max(1.0, float(S)):
+        if abs(energy - float(S)) > DUAL_ENERGY_RTOL * max(1.0, float(S)):
             raise AssertionError("complex dual energy drifted from the exact form")
         _additive_instance_check(form, points, b, exact)
     bound = (form.N + Fraction(z) ** 2) * S
@@ -398,12 +340,9 @@ def psi_value(q: int, n: int, residues: ResidueSystem) -> float:
     The kernel multiplies -1/H(p) over primes p | q whose residue set
     contains n; q must be squarefree with supported primes.
     """
-    fac = _factors(q)
-    prod = 1
-    for p in fac:
-        prod *= p
-    if prod != q:
+    if mobius(q) == 0:
         raise ValueError("q must be squarefree")
+    fac = prime_factors(q)
     out = (-1) ** len(fac) * math.sqrt(H_factor(fac, residues))
     for p in fac:
         if n % p in residues.classes[p]:
@@ -462,13 +401,13 @@ class PseudoCharacterMatrix:
         return count, recovered, direct
 
 
-def pseudo_character_matrix(z: int, residues: ResidueSystem, M: int, N: int, *, z_cap: int = 100, n_cap: int = 10**4) -> PseudoCharacterMatrix:
+def pseudo_character_matrix(z: int, residues: ResidueSystem, M: int, N: int) -> PseudoCharacterMatrix:
     """Dense pseudo-character table over [M, M+N), with the weight identity.
 
     Asserts exactly (per distinct membership pattern) that the optimal
     weights aggregate to (1/G) sum over q of H(q) Psi_q(n).
     """
-    if z > z_cap or N > n_cap:
+    if z > PSEUDO_Z_CAP or N > PSEUDO_N_CAP:
         raise BudgetError(f"pseudo-character matrix budget exceeded (z={z}, N={N})")
     qs = _supported_squarefree(z, residues)
     H = {q: H_factor(fac, residues) for q, fac in qs}
@@ -501,7 +440,7 @@ def _weight_identity_check(weights, residues, qs, H, member, primes) -> None:
     for pattern in np.unique(pattern_bits):
         inside = {p for i, p in enumerate(primes) if pattern >> i & 1}
         lhs = sum(
-            (lam for d, lam in weights.values.items() if all(p in inside for p in _factors(d))),
+            (lam for d, lam in weights.values.items() if all(p in inside for p in prime_factors(d))),
             Fraction(0),
         )
         rhs = Fraction(0)

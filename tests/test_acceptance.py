@@ -351,7 +351,7 @@ def _twin_ratios():
         prob = build_problem("twin", {"x": x})
         form = prob.omega_form()
         z = int(math.sqrt(form.N / math.log(form.N)))
-        rep = selberg_upper_bound(form, z, approx_remainder=z > 100)
+        rep = selberg_upper_bound(form, z)
         assert rep.verdict == "valid"
         ratios.append(rep.bound / (x / math.log(x) ** 2))
     return ratios

@@ -161,6 +161,13 @@ def test_mobius_small_values():
     assert mobius(30) == -1
 
 
+def test_prime_factors_and_divisors_match_trial_division():
+    for n in range(1, 3000):
+        assert arith.divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+        assert arith.prime_factors(n) == tuple(
+            d for d in range(2, n + 1) if n % d == 0 and all(d % q for q in range(2, d))), n
+
+
 def test_mobius_against_oracle_to_1e5():
     for n in range(1, 10**5 + 1):
         assert mobius(n) == mobius_oracle(n), n

@@ -211,6 +211,26 @@ GOLDENS = [
     (["verify", "--budget", "small"], "verify_small.txt", 0),
     (["verify", "--budget", "full"], "verify_full.txt", 0),
 ]
+# every bound method on every affine kind, on both sides of the profile window
+# (z = 53); these goldens were written by the CLI before the affine kinds shared
+# one residue-class description and selberg shared the arith factorizer
+AFFINE_ARGS = {
+    "interval": ["--problem", "interval", "--x", "10000", "--y", "9999"],
+    "twin": ["--problem", "twin", "--x", "10000"],
+    "goldbach": ["--problem", "goldbach", "--N", "10030"],  # 10030 = 2 * 5 * 17 * 59
+    "progression": ["--problem", "progression", "--x", "10000", "--k", "6", "--l", "5"],
+}
+GOLDENS += [
+    (["bound", "--method", method, *args, "--z", "15,53,54,60"], f"bound_{method}_{kind}.csv", 0)
+    for method in ("legendre", "brun-pure", "selberg", "linnik", "rosser")
+    for kind, args in AFFINE_ARGS.items()
+]
+GOLDENS += [
+    (["bound", "--method", "brun-pure", "--problem", "shifted_prime", "--x", "10000", "--z", "15,53,54,60"],
+     "bound_brun-pure_shifted_prime.csv", 0),
+    ("sift --problem progression --x 10000 --k 6 --l 5 --z 2,15,53,54,60".split(), "sift_progression.csv", 0),
+    ("sift --problem progression --x 10000 --k 1 --l 0 --z 2,15,53,54,60".split(), "sift_progression_k1.csv", 0),
+]
 
 
 @pytest.mark.parametrize("argv,golden,code", GOLDENS, ids=[g for _, g, _ in GOLDENS])

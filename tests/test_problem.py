@@ -143,18 +143,39 @@ def test_count_in_class_examples():
     assert count == 97 and rem == 97 - 100
 
 
+# The densities build_problem declared for the affine kinds before they were
+# derived from the residue classes, kept as the reference for omega(p) = |Omega(p)|.
+DECLARED_DENSITY = {
+    "interval": lambda params, p: 1,
+    "twin": lambda params, p: 1 if p == 2 else 2,
+    "goldbach": lambda params, p: 1 if params["N"] % p == 0 else 2,
+    "progression": lambda params, p: 0 if params["k"] % p == 0 else 1,
+}
+
+
 def test_count_in_class_matches_enumeration():
     for kind, params in [
         ("twin", {"x": 500}),
+        ("twin", {"x": 20000}),
         ("goldbach", {"N": 300}),
+        ("goldbach", {"N": 2 * 3 * 59 * 61}),  # primes of N on both sides of 53
         ("interval", {"x": 400, "y": 250}),
+        ("interval", {"x": 20000, "y": 15000}),
         ("progression", {"x": 500, "k": 5, "l": 2}),
+        ("progression", {"x": 20000, "k": 6, "l": 5}),  # 2 | k and 3 | k
+        ("progression", {"x": 20000, "k": 59, "l": 3}),  # a prime of k above 53
+        ("progression", {"x": 20000, "k": 1, "l": 0}),
     ]:
         prob = build_problem(kind, params)
         vals = prob.values()
-        for d in (1, 2, 3, 5, 6, 7, 15, 21, 35, 105):
+        for d in (1, 2, 3, 5, 6, 7, 15, 21, 35, 105, 53, 59, 61, 2 * 59 * 61, 3 * 53, 47 * 53 * 59):
             direct = int(np.count_nonzero(vals % d == 0))
-            assert prob.count_multiple(d) == direct, (kind, d)
+            primes = [p for p in small_primes(d + 1) if d % p == 0]
+            assert prob.count_multiple(d) == direct, (kind, params, d)
+            assert prob.count_multiple(d, tuple(reversed(primes))) == direct, (kind, params, d)
+            assert count_in_class(prob, d)[0] == direct, (kind, params, d)
+        for p in small_primes(200):
+            assert prob.density.omega(p) == DECLARED_DENSITY[kind](prob.params, p), (kind, params, p)
 
 
 def test_remainder_magnitudes():

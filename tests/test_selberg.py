@@ -256,15 +256,23 @@ def test_ramanujan_sum_values():
     assert ramanujan_sum(6, 0) == 2  # phi(6)
     assert ramanujan_sum(5, 5) == 4
     assert ramanujan_sum(5, 1) == -1
-    # cross-check against the root-of-unity definition
-    for q in range(1, 13):
-        for m in range(0, 13):
+    assert ramanujan_sum(6, -3) == ramanujan_sum(6, 3) == -2
+    # cross-check against the root-of-unity definition; dual_coefficient_sum
+    # passes m = h1 - h2, which may be negative
+    for q in range(1, 61):
+        for m in range(-q - 1, q + 2):
             direct = sum(
                 complex(math.cos(2 * math.pi * a * m / q), math.sin(2 * math.pi * a * m / q))
                 for a in range(1, q + 1)
                 if math.gcd(a, q) == 1
             )
-            assert ramanujan_sum(q, m) == pytest.approx(direct.real, abs=1e-9)
+            assert ramanujan_sum(q, m) == pytest.approx(direct.real, abs=1e-9), (q, m)
+    from sievekit.selberg import psi_value
+
+    rs = zero_system(60)
+    for q in (4, 9, 12, 18, 50, 2 * 3 * 7 * 7):
+        with pytest.raises(ValueError):
+            psi_value(q, 1, rs)
 
 
 def test_psi_value_matches_matrix():
