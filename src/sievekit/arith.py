@@ -220,12 +220,6 @@ class FactoredSquarefree:
         if list(self.prime_factors) != sorted(self.prime_factors, reverse=True):
             raise ValueError("prime factors must be descending")
 
-    @property
-    def least_factor(self) -> int:
-        if not self.prime_factors:
-            raise ValueError("1 has no least prime factor")
-        return self.prime_factors[-1]
-
 
 def factor_squarefree(n: int) -> FactoredSquarefree:
     """Factor a squarefree n; raises ValueError if n has a squared factor."""

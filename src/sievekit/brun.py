@@ -55,7 +55,7 @@ def pure_sieve_bound(problem: SieveProblem, config: PureSieveConfig, *, worst_ca
     Remainder tally: sum of |R_d| over the same divisors (or the density
     worst case sum of omega(d) when ``worst_case``).
     """
-    primes = [p for p in small_primes(config.z) if problem.density.omega(p) != 0]
+    primes = problem.sifting_primes(config.z)
     main, rem = divisor_tally(problem, primes, divisor_walk(primes, max_nu=config.cutoff), worst_case=worst_case)
     sign = 1 if config.parity == "upper" else -1
     bound = main + sign * rem

@@ -24,6 +24,8 @@ from .arith import BudgetError, euler_phi, factorize
 
 IDENT_RTOL = 1e-9
 INEQ_SLACK = 1e-12
+POWER_TOL = 1e-12  # relative Rayleigh-quotient step at which power iteration stops
+POWER_MAX_ITER = 20000
 
 
 def min_circular_distance(points) -> Fraction | float:
@@ -315,12 +317,12 @@ class _TableCache:
 _character_tables = _TableCache(CHARACTER_CACHE_BYTES)
 
 
-def character_table(q: int, *, cap: int = CHARACTER_MODULUS_CAP) -> CharacterTable:
+def character_table(q: int) -> CharacterTable:
     """The full character group mod q, cached up to CHARACTER_CACHE_BYTES of tables."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q > cap:
-        raise BudgetError(f"modulus {q} above character budget {cap}")
+    if q > CHARACTER_MODULUS_CAP:
+        raise BudgetError(f"modulus {q} above character budget {CHARACTER_MODULUS_CAP}")
     return _character_tables.get(q, _build_character_table)
 
 
@@ -402,26 +404,30 @@ def character_sum_via_gauss(table: CharacterTable, j: int, coefficients, M: int 
     return complex(total / tau_bar)
 
 
-def power_iteration_norm(matrix: np.ndarray, *, tol: float = 1e-12, max_iter: int = 20000, seed: int = 0) -> float:
-    """Largest eigenvalue of M M^H by power iteration (deterministic start)."""
-    rng = np.random.default_rng(seed)
+def power_iteration_norm(matrix: np.ndarray) -> float:
+    """Largest eigenvalue of M M^H by power iteration (deterministic start).
+
+    Stops when the Rayleigh quotient moves by at most ``POWER_TOL`` relative,
+    or after ``POWER_MAX_ITER`` steps.
+    """
+    rng = np.random.default_rng(0)
     v = rng.normal(size=matrix.shape[1]) + 1j * rng.normal(size=matrix.shape[1])
     v /= np.linalg.norm(v)
     last = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = matrix.conj().T @ (matrix @ v)
         norm = np.linalg.norm(w)
         if norm == 0:
             return 0.0
         v = w / norm
         ray = float(np.real(np.vdot(v, matrix.conj().T @ (matrix @ v))))
-        if abs(ray - last) <= tol * max(ray, 1.0):
+        if abs(ray - last) <= POWER_TOL * max(ray, 1.0):
             return ray
         last = ray
     return last
 
 
-def duality_rayleigh(points: SeparatedPoints, M: int, N: int, *, tol: float = 1e-12) -> tuple[float, float]:
+def duality_rayleigh(points: SeparatedPoints, M: int, N: int) -> tuple[float, float]:
     """Top Rayleigh quotients of the point-side and interval-side forms.
 
     The two positive forms share their nonzero spectrum, so the returned
@@ -431,4 +437,4 @@ def duality_rayleigh(points: SeparatedPoints, M: int, N: int, *, tol: float = 1e
     E = np.empty((len(points.points), N), dtype=complex)
     for rows, table, cols in _phase_groups(points, M, N):
         E[rows] = table[:, cols]
-    return power_iteration_norm(E, tol=tol), power_iteration_norm(E.conj().T, tol=tol)
+    return power_iteration_norm(E), power_iteration_norm(E.conj().T)

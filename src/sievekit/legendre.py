@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BudgetError, small_primes
-from .problem import _PROFILE_Z, DIVISOR_CAP, SieveProblem, SiftingDensity, divisor_walk
+from .arith import small_primes
+from .problem import SieveProblem, SiftingDensity
 
 EXP_MINUS_EULER = 0.561459483566885  # exp(-Euler constant), Mertens constant
 
@@ -56,26 +56,16 @@ def density_product_float(density: SiftingDensity, z: int) -> float:
     return out
 
 
-def sifting_primes(density: SiftingDensity, z: int) -> list[int]:
-    """Primes below z with nonzero density (inert primes never sift)."""
-    return [p for p in small_primes(z) if density.omega(p) != 0]
-
-
 def legendre_decompose(problem: SieveProblem, z: int) -> SieveDecomposition:
     """Evaluate the exact sieve identity at level z.
 
-    Enumerates squarefree divisors of P(z) with nonzero density (the others
-    contribute empty classes), so the count is exact.  Raises BudgetError
-    when the 2^pi(z) divisors exceed ``DIVISOR_CAP``.
+    The total is the signed sum of mu(d) |A_d| over the squarefree divisors
+    d of P(z) with nonzero density (the others contribute empty classes),
+    folded from the superset table of the problem's profile, so the count
+    is exact.  The profile raises BudgetError, before allocating, when its
+    2^pi(z) entries exceed the divisor cap.
     """
-    primes = sifting_primes(problem.density, z)
-    if (1 << len(primes)) > DIVISOR_CAP:
-        raise BudgetError(f"2^{len(primes)} divisors of P({z}) exceed the enumeration cap")
-    # above the window the profile covers exactly the sifting primes: 2^pi(z) entries
-    prof = problem.profile() if z <= _PROFILE_Z else problem.profile(tuple(primes))
-    total = 0
-    for _d, factors, mu in divisor_walk(primes):
-        total += mu * prof.count_multiple(factors)
+    total = problem.profile_below(z).mobius_sum(problem.sifting_primes(z))
     main = density_product(problem.density, z) * problem.X
     return SieveDecomposition(main, Fraction(total) - main, total)
 

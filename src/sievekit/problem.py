@@ -25,9 +25,11 @@ omega(p) is |Omega(p)| and their |A_d| a CRT count of those classes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Mapping
 
 import numpy as np
@@ -231,6 +233,7 @@ class _Profile:
     ``hist[mask]`` counts elements whose value is divisible by exactly the
     primes flagged in ``mask``; superset sums then answer every
     |A_d| / |S(A_d, w)| query exactly without touching the elements again.
+    The primes are in ascending order, bit i for primes[i].
     """
 
     def __init__(self, primes: tuple[int, ...], hist: np.ndarray):
@@ -255,30 +258,32 @@ class _Profile:
             bits |= 1 << self.index[p]
         return bits
 
-    def window_bits(self, w: int) -> int:
-        bits = 0
-        for p in self.primes:
-            if p < w:
-                bits |= 1 << self.index[p]
-        return bits
-
     def count_multiple(self, d_primes) -> int:
         return int(self._superset[self.bits_of(d_primes)])
 
+    def mobius_sum(self, d_primes) -> int:
+        """Sum of mu(e) |A_e| over e | d, folded from the superset table top bit first."""
+        bits, f = self.bits_of(d_primes), self._superset
+        for i in reversed(range(len(self.primes))):
+            lo, hi = f.reshape(2, -1)
+            f = lo - hi if bits >> i & 1 else lo
+        return int(f[0])
+
     def sift_count(self, w: int, d_primes=()) -> int:
-        """#{a in A : d | a, a has no prime factor below w (within the window)}."""
-        wbits = self.window_bits(w)
-        table = self._sifted.get(wbits)
-        if table is None:
-            masked = self.hist.copy()
-            idx = np.arange(len(masked))
-            masked[(idx & wbits) != 0] = 0
-            table = self._superset_sum(masked)
-            self._sifted[wbits] = table
+        """#{a in A : d | a, a has no prime factor below w (within the window)}.
+
+        The k primes below w are the low k bits of a mask, so the elements
+        free of them are ``hist[::2^k]``; the superset table of that slice,
+        2^(n-k) entries kept per k, answers every d.
+        """
+        k = bisect_left(self.primes, w)
         dbits = self.bits_of(d_primes)
-        if dbits & wbits:
+        if dbits & ((1 << k) - 1):
             return 0
-        return int(table[dbits])
+        table = self._sifted.get(k)
+        if table is None:
+            table = self._sifted[k] = self._superset_sum(self.hist[:: 1 << k])
+        return int(table[dbits >> k])
 
 
 class SieveProblem:
@@ -296,7 +301,6 @@ class SieveProblem:
         explicit: np.ndarray | None = None,
         residues: ResidueSystem | None = None,
         omega_interval: tuple[int, int] | None = None,
-        table: PrimeTable | None = None,
     ):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
@@ -310,7 +314,6 @@ class SieveProblem:
         self.residues = residues
         self._omega_interval = omega_interval
         self._wide: dict[int, ResidueSystem] = {}  # affine classes past _PROFILE_Z, by power-of-two bound
-        self._table = table
         self._values: np.ndarray | None = explicit
         self._profiles: dict[tuple[int, ...], _Profile] = {}
 
@@ -343,7 +346,7 @@ class SieveProblem:
         return self._values
 
     def profile(self, primes: tuple[int, ...] | None = None) -> _Profile:
-        """The divisibility profile over ``primes`` (default: the primes below 53), cached.
+        """The divisibility profile over ascending ``primes`` (default: the primes below 53), cached.
 
         Raises BudgetError, before any allocation, when the 2^len(primes)
         histogram entries would exceed ``DIVISOR_CAP``.
@@ -360,6 +363,18 @@ class SieveProblem:
                 hist = _value_histogram(self.values(), primes)
             prof = self._profiles[primes] = _Profile(primes, hist)
         return prof
+
+    def sifting_primes(self, z: int, z0: int = 2) -> tuple[int, ...]:
+        """Primes p with z0 <= p < z and nonzero density (inert primes never sift)."""
+        return tuple(p for p in small_primes(z) if p >= z0 and self.density.omega(p) != 0)
+
+    def profile_below(self, z: int) -> _Profile:
+        """A profile holding every sifting prime below z.
+
+        Up to ``_PROFILE_Z`` that is the default window; above it, the
+        profile over exactly the sifting primes, 2^pi(z) entries at most.
+        """
+        return self.profile() if z <= _PROFILE_Z else self.profile(self.sifting_primes(z))
 
     # -- exact counting ---------------------------------------------------
 
@@ -479,9 +494,9 @@ def _affine_problem(kind: str, params: dict, X: Fraction, kappa: float, lo: int,
 def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None) -> SieveProblem:
     """Construct a sieve problem of the given kind.
 
-    ``table`` is required for ``shifted_prime`` and may be supplied for
-    ``parity`` to avoid re-sieving.  Affine kinds also carry the equivalent
-    interval + residue-system form (change of variables on the index).
+    ``table`` is required for ``shifted_prime`` and ignored by every other
+    kind.  Affine kinds also carry the equivalent interval + residue-system
+    form (change of variables on the index).
     """
     params = dict(params)
     if kind == "interval":
@@ -506,7 +521,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         ps = table.primes_below(x)
         vals = (ps[ps >= 3] + 2).astype(np.int64)
         dens = SiftingDensity(lambda p: Fraction(0) if p == 2 else Fraction(p, p - 1), 1.0)
-        return SieveProblem(kind, {"x": x}, Fraction(li(x)), dens, explicit=vals, table=table)
+        return SieveProblem(kind, {"x": x}, Fraction(li(x)), dens, explicit=vals)
     if kind == "progression":
         x, k, l = int(params["x"]), int(params["k"]), int(params["l"])
         if k < 1:
@@ -618,26 +633,16 @@ def exact_sift(problem: SieveProblem, z: int) -> int:
     return problem.sift_count(z)
 
 
-def divisor_walk(primes, *, max_nu: int | None = None):
-    """Yield (d, factors_descending, mu) over squarefree products of ``primes``.
+def divisor_walk(primes, *, max_nu: int):
+    """Iterate (d, factors_descending, mu) over products of at most ``max_nu`` of ``primes``.
 
-    Primes are consumed in descending order so factor tuples arrive with
-    descending factors.  Raises BudgetError past ``DIVISOR_CAP`` divisors.
+    Each factor tuple is a combination of the primes taken in descending
+    order.  Raises BudgetError, before any divisor is made, when the sum of
+    C(n, k) over k <= max_nu exceeds ``DIVISOR_CAP``.
     """
     ps = sorted(primes, reverse=True)
-    count = 0
-
-    def rec(i, value, factors):
-        nonlocal count
-        count += 1
-        if count > DIVISOR_CAP:
-            raise BudgetError("divisor enumeration exceeded cap")
-        yield value, tuple(factors), (-1) ** len(factors)
-        if max_nu is not None and len(factors) >= max_nu:
-            return
-        for j in range(i, len(ps)):
-            factors.append(ps[j])
-            yield from rec(j + 1, value * ps[j], factors)
-            factors.pop()
-
-    yield from rec(0, 1, [])
+    sizes = range(min(max_nu, len(ps)) + 1)
+    count = sum(math.comb(len(ps), k) for k in sizes)
+    if count > DIVISOR_CAP:
+        raise BudgetError(f"{count} divisors of at most {max_nu} primes exceed the enumeration cap")
+    return ((math.prod(f), f, (-1) ** k) for k in sizes for f in combinations(ps, k))

@@ -27,7 +27,6 @@ import numpy as np
 from .arith import BudgetError, PrimeTable, factorize, small_primes
 from .legendre import density_product, dimension_fit
 from .problem import (
-    _PROFILE_Z,
     DIVISOR_CAP,
     SieveProblem,
     build_problem,
@@ -178,15 +177,10 @@ def buchstab_check(problem: SieveProblem, z0: int, z: int) -> IdentityReport:
     lhs = exact_sift(problem, z)
     total = exact_sift(problem, z0)
     drops = {}
-    for p in small_primes(z):
-        if p >= z0 and problem.density.omega(p) != 0:
-            drops[p] = problem.sift_count(p, (p,))
-            total -= drops[p]
+    for p in problem.sifting_primes(z, z0):
+        drops[p] = problem.sift_count(p, (p,))
+        total -= drops[p]
     return IdentityReport(lhs, total, lhs == total, {"drops": drops})
-
-
-def _window_primes(problem: SieveProblem, z0: int, z: int) -> list[int]:
-    return [p for p in small_primes(z) if p >= z0 and problem.density.omega(p) != 0]
 
 
 def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeightTable) -> IdentityReport:
@@ -197,7 +191,7 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
     leaves a one-sided bound.  The density analogue is checked in exact
     rationals alongside.
     """
-    primes = _window_primes(problem, z0, z)
+    primes = problem.sifting_primes(z, z0)
     lhs = exact_sift(problem, z)
     rho_sum = 0
     sigma_sum = 0
@@ -348,9 +342,9 @@ def _validate_closed_forms(table: SieveFunctionTable) -> None:
         raise ValueError(f"step too coarse: closed-form mismatch {max(err0, err1):.3g}")
 
 
-@lru_cache(maxsize=4)
-def default_sieve_functions(tau_max: float = 12.0) -> SieveFunctionTable:
-    return solve_sieve_functions(tau_max=tau_max, step=1e-3)
+@lru_cache(maxsize=1)
+def default_sieve_functions() -> SieveFunctionTable:
+    return solve_sieve_functions(tau_max=12.0, step=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +364,7 @@ def linear_sieve_bound(problem: SieveProblem, z: int, D: float, r: int) -> Bound
     tau = math.log(D) / math.log(z)
     main = functions.phi(r, tau) * float(density_product(problem.density, z) * problem.X)
     weights = RosserWeightTable(D=D, beta=2.0, r=r)
-    primes = [p for p in small_primes(z) if problem.density.omega(p) != 0]
+    primes = problem.sifting_primes(z)
     kept = ((d, factors, mu) for tag, d, factors, mu in weight_walk(primes, weights) if tag == "rho")
     _, rem = divisor_tally(problem, primes, kept)
     direction = "upper" if r == 1 else "lower"
@@ -423,17 +417,17 @@ def parity_extremal(x: int, z: int, r: int) -> ParityExtremalReport:
         raise BudgetError("parity extremal capped at x = 1e7")
     problem = build_problem("parity", {"x": x, "r": r})
     weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
-    primes = list(small_primes(z))
+    primes = problem.sifting_primes(z)
     exact = exact_sift(problem, z)
     # below the profile window, exact_sift has already built the full profile
-    prof = problem.profile() if z <= _PROFILE_Z else problem.profile(tuple(primes))
+    prof = problem.profile_below(z)
     rho_sum = 0
     sigma_sum = 0
     for tag, d, factors, mu in weight_walk(primes, weights):
         if tag == "rho":
             rho_sum += mu * prof.count_multiple(factors)
         else:
-            sigma_sum += problem.sift_count(factors[-1], factors)
+            sigma_sum += prof.sift_count(factors[-1], factors)
     functions = default_sieve_functions()
     tau = math.log(x) / math.log(z)
     denom = (x / 2) * functions.phi(r, min(tau, float(functions.taus[-1]))) * float(
@@ -501,11 +495,11 @@ class ChenReport:
         }
 
 
-@lru_cache(maxsize=4)
-def twin_constant(limit: int = 10**5) -> float:
-    """prod over odd p of (1 - 1/(p-1)^2), truncated below ``limit``."""
+@lru_cache(maxsize=1)
+def twin_constant() -> float:
+    """prod over odd p of (1 - 1/(p-1)^2), truncated below 10^5."""
     out = 1.0
-    for p in small_primes(limit):
+    for p in small_primes(10**5):
         if p > 2:
             out *= 1 - 1 / (p - 1) ** 2
     return out

@@ -349,9 +349,8 @@ def _twin_ratios():
     ratios = []
     for x in (10**4, 10**5, 10**6):
         prob = build_problem("twin", {"x": x})
-        form = prob.omega_form()
-        z = int(math.sqrt(form.N / math.log(form.N)))
-        rep = selberg_upper_bound(form, z)
+        z = int(math.sqrt(prob.size / math.log(prob.size)))
+        rep = selberg_upper_bound(prob, z)
         assert rep.verdict == "valid"
         ratios.append(rep.bound / (x / math.log(x) ** 2))
     return ratios

@@ -231,6 +231,17 @@ GOLDENS += [
     ("sift --problem progression --x 10000 --k 6 --l 5 --z 2,15,53,54,60".split(), "sift_progression.csv", 0),
     ("sift --problem progression --x 10000 --k 1 --l 0 --z 2,15,53,54,60".split(), "sift_progression_k1.csv", 0),
 ]
+# Legendre and Rosser on the explicit kinds, written by the CLI before Legendre's
+# total became one fold of the profile and parity's sigma terms read the profile
+EXPLICIT_ARGS = {
+    "parity": ["--problem", "parity", "--x", "10000", "--r", "1"],
+    "shifted_prime": ["--problem", "shifted_prime", "--x", "10000"],
+}
+GOLDENS += [
+    (["bound", "--method", method, *args, "--z", "15,53,54,60"], f"bound_{method}_{kind}.csv", 0)
+    for method in ("legendre", "rosser")
+    for kind, args in EXPLICIT_ARGS.items()
+]
 
 
 @pytest.mark.parametrize("argv,golden,code", GOLDENS, ids=[g for _, g, _ in GOLDENS])

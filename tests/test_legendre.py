@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from sievekit.arith import BudgetError
+from sievekit.arith import BudgetError, primes_up_to, small_primes
 from sievekit.legendre import (
     EXP_MINUS_EULER,
     density_product,
@@ -78,6 +79,52 @@ def test_decompose_above_profile_window():
         for z in (53, 54, 60):
             dec = legendre_decompose(prob, z)
             assert dec.total == dec.main + dec.remainder == exact_sift(prob, z), (prob.kind, z)
+
+
+def reference_walk_total(prob, z):
+    """The per-divisor walk: mu(d) |A_d| summed over every subset of the sifting primes,
+    each |A_d| read from the profile's superset table."""
+    primes = [p for p in small_primes(z) if prob.density.omega(p) != 0]
+    prof = prob.profile() if z <= 53 else prob.profile(tuple(primes))
+    terms = [((), 1)]
+    for p in primes:
+        terms += [(f + (p,), -mu) for f, mu in terms]
+    return sum(mu * prof.count_multiple(f) for f, mu in terms)
+
+
+def fold_problems():
+    table = primes_up_to(10**4 + 2)
+    extremes = [0, 1, -1, -2**63, 2**63 - 1, 30030, -30030, math.prod(small_primes(53))]
+    return [
+        build_problem("interval", {"x": 10**4, "y": 7000}),
+        build_problem("twin", {"x": 10**4}),
+        build_problem("goldbach", {"N": 10030}),
+        build_problem("progression", {"x": 10**4, "k": 6, "l": 5}),
+        build_problem("parity", {"x": 10**4, "r": 1}),
+        build_problem("shifted_prime", {"x": 10**4}, table=table),
+        build_problem("custom", {"elements": extremes + list(range(-3000, 3000, 7)), "X": 857}),
+    ]
+
+
+@pytest.mark.parametrize("z", [2, 15, 52, 53, 54, 60])
+def test_decompose_fold_matches_per_divisor_walk(z):
+    for prob in fold_problems():
+        dec = legendre_decompose(prob, z)
+        assert dec.total == reference_walk_total(prob, z) == exact_sift(prob, z), (prob.kind, z)
+
+
+def test_decompose_refuses_past_divisor_cap():
+    for prob in fold_problems():
+        # the least z with 26 sifting primes: 103 unless some prime is inert
+        z = next(w for w in range(103, 200) if len(prob.sifting_primes(w)) == 26)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                legendre_decompose(prob, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, (prob.kind, peak)
 
 
 def test_decompose_budget_guard():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sievekit.arith import BudgetError, primes_up_to, primes_up_to_simple, small_primes
+from sievekit.arith import BudgetError, mobius, primes_up_to, primes_up_to_simple, small_primes
 from sievekit.problem import (
     ORACLE_ELEMENT_CAP,
     ResidueSystem,
@@ -14,6 +14,7 @@ from sievekit.problem import (
     _value_histogram,
     build_problem,
     count_in_class,
+    divisor_walk,
     exact_sift,
     factor_count_sieve,
     problem_from_config,
@@ -224,6 +225,17 @@ def test_sift_count_in_class_oracle():
         assert prob.sift_count(w, d_primes) == brute_sift(vals, w, d)
 
 
+
+def test_profile_sift_count_matches_scan():
+    # every w up to the window's end and every d over its six primes, primes of d below w included
+    vals = [0, 1, -1, 30030, -2**63, 2**63 - 1, *range(-500, 500, 3)]
+    prof = build_problem("custom", {"elements": vals}).profile(small_primes(14))
+    for w in range(1, 15):
+        for mask in range(64):
+            d_primes = [p for i, p in enumerate(prof.primes) if mask >> i & 1]
+            assert prof.sift_count(w, d_primes) == brute_sift(vals, w, math.prod(d_primes)), (w, d_primes)
+
+
 def test_exact_sift_nonincreasing_in_z():
     prob = build_problem("goldbach", {"N": 1000})
     counts = [exact_sift(prob, z) for z in range(2, 40)]
@@ -391,3 +403,32 @@ def test_profile_budget_guard_before_allocation():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16, (prob.kind, peak)
+
+
+def test_divisor_walk_refuses_before_any_divisor():
+    primes = small_primes(102)  # 26 primes
+    # sum of C(26, k) over k <= 12 is 28 354 132, within the 2^25 cap; k <= 13 passes it
+    divisor_walk(primes, max_nu=12)
+    for max_nu in (13, 26, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                next(iter(divisor_walk(primes, max_nu=max_nu)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, (max_nu, peak)
+    divisor_walk(primes[1:], max_nu=25)  # all 2^25 products of 25 primes: exactly the cap
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_divisor_walk_yields_each_truncated_divisor_once(n):
+    primes = small_primes(40)[:n][::-1][1::2] + small_primes(40)[:n][::-1][::2]  # any order
+    for max_nu in range(n + 2):
+        items = list(divisor_walk(primes, max_nu=max_nu))
+        assert len(items) == sum(math.comb(n, k) for k in range(max_nu + 1))
+        assert len({d for d, _, _ in items}) == len(items)
+        for d, factors, mu in items:
+            assert math.prod(factors) == d and len(factors) <= max_nu
+            assert list(factors) == sorted(factors, reverse=True)
+            assert mu == mobius(d)

@@ -24,6 +24,7 @@ from sievekit.rosser import (
     truncation_inequality_check,
     twin_constant,
     vacuous_weights,
+    weight_walk,
 )
 
 
@@ -307,6 +308,21 @@ def test_parity_extremal_profile_budget():
     # 26 primes below 103: a 2^26-entry profile, refused before it is built
     with pytest.raises(BudgetError):
         parity_extremal(10**4, 103, 0)
+
+
+@pytest.mark.parametrize("z", [54, 60])
+def test_parity_extremal_sigma_terms_above_window_match_oracle_calls(z):
+    # above z = 53 the sigma terms come from the profile over every prime below z;
+    # the reference sends each one through the problem's own sift_count
+    x = 10**6
+    for r in (0, 1):
+        prob = build_problem("parity", {"x": x, "r": r})
+        weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
+        walk = weight_walk(small_primes(z), weights)
+        want = sum(prob.sift_count(f[-1], f) for tag, _, f, _ in walk if tag == "sigma")
+        rep = parity_extremal(x, z, r)
+        assert rep.sigma_sum == want > 0, (z, r)
+        assert rep.full_identity_exact
 
 
 def test_parity_extremal_ratio_trend():

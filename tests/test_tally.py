@@ -41,11 +41,16 @@ def reference_remainder(problem, d, factors):
 
 
 def reference_pure_tally(problem, primes, cutoff, worst_case):
+    # every subset of at most ``cutoff`` primes, grown one prime at a time
+    subsets = [()]
+    for p in primes:
+        subsets += [s + (p,) for s in subsets if len(s) < cutoff]
     main = Fraction(0)
     rem = Fraction(0)
-    for d, factors, mu in divisor_walk(primes, max_nu=cutoff):
+    for factors in subsets:
+        d = math.prod(factors)
         w = problem.density.omega_d(factors)
-        main += mu * w / d
+        main += (-1) ** len(factors) * w / d
         rem += w if worst_case else abs(reference_remainder(problem, d, factors))
     return main * problem.X, rem
 
