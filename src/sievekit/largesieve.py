@@ -56,15 +56,21 @@ class SeparatedPoints:
 
 
 def farey_points(Q: int) -> SeparatedPoints:
-    """All reduced fractions a/q with q <= Q in [0, 1); delta = 1/(Q(Q-1))."""
+    """All reduced fractions a/q with q <= Q in [0, 1), ascending; delta = 1/(Q(Q-1)).
+
+    The points are made in order by the next-term recurrence of the Farey
+    sequence: after neighbours a/b < c/d comes (k c - a)/(k d - b) with
+    k = floor((Q + b) / d), starting from 0/1, 1/Q and stopping at 1/1.
+    """
     if Q < 2:
         raise ValueError("Q must be >= 2")
     pts = [Fraction(0)]
-    for q in range(2, Q + 1):
-        for a in range(1, q):
-            if math.gcd(a, q) == 1:
-                pts.append(Fraction(a, q))
-    return SeparatedPoints(tuple(sorted(pts)), Fraction(1, Q * (Q - 1)))
+    a, b, c, d = 0, 1, 1, Q
+    while c < d:
+        pts.append(Fraction(c, d))
+        k = (Q + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return SeparatedPoints(tuple(pts), Fraction(1, Q * (Q - 1)))
 
 
 def _phase_groups(points: SeparatedPoints, M: int, N: int):

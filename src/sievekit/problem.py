@@ -48,6 +48,11 @@ _BLOCK = 1 << 18  # index positions per block of the affine residue sieve
 _LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of a value profile spans
 
 
+def in_profile_window(z: int) -> bool:
+    """Whether every prime below z lies in the default profile window (the primes below 53)."""
+    return z <= _PROFILE_Z
+
+
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -310,28 +315,32 @@ class SieveProblem:
         self.density = density
         self._lo = lo
         self._hi = hi
-        self._explicit = explicit
         self.residues = residues
         self._omega_interval = omega_interval
         self._wide: dict[int, ResidueSystem] = {}  # affine classes past _PROFILE_Z, by power-of-two bound
         self._values: np.ndarray | None = explicit
         self._profiles: dict[tuple[int, ...], _Profile] = {}
+        self._inert: set[int] = set()  # primes with omega(p) = 0 checked to divide no element
 
     # -- element access -------------------------------------------------
 
     @property
     def size(self) -> int:
-        if self._explicit is not None:
-            return len(self._explicit)
+        if self._lo is None:  # explicit elements, or parity's made on first use
+            return len(self.values())
         return max(self._hi - self._lo, 0)
 
     def values(self) -> np.ndarray:
         """The element values of A as an int64 array (cached)."""
+        if self._values is None and self.kind == "parity":
+            # n < x whose prime divisors, counted with multiplicity, number r mod 2
+            big_omega = factor_count_sieve(self.params["x"])
+            self._values = np.nonzero((big_omega[1:] & 1) == self.params["r"])[0].astype(np.int64) + 1
         if self._values is None:
             if self.size > ORACLE_ELEMENT_CAP:
                 raise BudgetError(f"{self.size} elements exceed enumeration cap")
             n = np.arange(self._lo, self._hi, dtype=np.int64)
-            if self.kind in ("interval", "progression", "parity"):
+            if self.kind in ("interval", "progression"):
                 vals = n
             elif self.kind == "twin":
                 vals = n * (n + 2)
@@ -365,8 +374,24 @@ class SieveProblem:
         return prof
 
     def sifting_primes(self, z: int, z0: int = 2) -> tuple[int, ...]:
-        """Primes p with z0 <= p < z and nonzero density (inert primes never sift)."""
-        return tuple(p for p in small_primes(z) if p >= z0 and self.density.omega(p) != 0)
+        """Primes p with z0 <= p < z and nonzero density.
+
+        An inert prime (omega(p) = 0) is left out, which is sound only when
+        it divides no element: the oracle counts still sift by it.  One that
+        divides an element raises ValueError; each prime is checked once
+        per problem.
+        """
+        out = []
+        for p in small_primes(z):
+            if p < z0:
+                continue
+            if self.density.omega(p) != 0:
+                out.append(p)
+            elif p not in self._inert:
+                if self.count_multiple(p, (p,)):
+                    raise ValueError(f"omega({p}) = 0, yet {p} divides an element of {self.describe()}")
+                self._inert.add(p)
+        return tuple(out)
 
     def profile_below(self, z: int) -> _Profile:
         """A profile holding every sifting prime below z.
@@ -374,7 +399,7 @@ class SieveProblem:
         Up to ``_PROFILE_Z`` that is the default window; above it, the
         profile over exactly the sifting primes, 2^pi(z) entries at most.
         """
-        return self.profile() if z <= _PROFILE_Z else self.profile(self.sifting_primes(z))
+        return self.profile() if in_profile_window(z) else self.profile(self.sifting_primes(z))
 
     # -- exact counting ---------------------------------------------------
 
@@ -539,9 +564,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
             raise ValueError("parity r must be 0 or 1")
         if x > ORACLE_ELEMENT_CAP:
             raise BudgetError(f"parity x={x} exceeds enumeration cap")
-        big_omega = factor_count_sieve(x)
-        vals = np.nonzero((big_omega[1:] & 1) == r)[0].astype(np.int64) + 1
-        return SieveProblem(kind, {"x": x, "r": r}, Fraction(x, 2), SiftingDensity.unit(1.0), explicit=vals)
+        return SieveProblem(kind, {"x": x, "r": r}, Fraction(x, 2), SiftingDensity.unit(1.0))
     if kind == "custom":
         vals = np.asarray(params["elements"], dtype=np.int64)
         dens = params.get("density") or SiftingDensity.unit(1.0)

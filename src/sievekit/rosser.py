@@ -29,10 +29,12 @@ from .legendre import density_product, dimension_fit
 from .problem import (
     DIVISOR_CAP,
     SieveProblem,
+    _Profile,
     build_problem,
     divisor_tally,
     exact_sift,
     factor_count_sieve,
+    in_profile_window,
 )
 from .reports import BoundReport
 
@@ -304,7 +306,10 @@ def solve_sieve_functions(tau_max: float = 10.0, step: float = 1e-3) -> SieveFun
     tau phi1 = 2 e^gamma and phi0 = 0 on (0, 2].  Uses the integrated
     (Volterra) form with trapezoidal quadrature on a grid aligned so that
     tau - 1 lands on grid points; the step is snapped to 1/round(1/step).
-    Raises when the (2, 4] closed forms disagree beyond 1e-6.
+    A row's trapezoid reads rows one unit of tau back, so each block of
+    1/step rows is one ``np.cumsum`` over earlier rows, which adds in order:
+    the table equals a row-by-row loop's to the bit.  Raises when the
+    (2, 4] closed forms disagree beyond 1e-6.
     """
     if step > 1e-3 * (1 + 1e-9):
         raise ValueError("step must be at most 1e-3")
@@ -322,11 +327,14 @@ def solve_sieve_functions(tau_max: float = 10.0, step: float = 1e-3) -> SieveFun
     # arrays are 0-based: taus[i-1] = i*h
     acc0 = 0.0  # integral feeding phi0
     acc1 = 0.0  # integral feeding phi1
-    for i in range(2 * m + 1, n + 1):
-        acc0 += h / 2 * (phi1[i - m - 2] + phi1[i - m - 1])
-        acc1 += h / 2 * (phi0[i - m - 2] + phi0[i - m - 1])
-        phi0[i - 1] = acc0 / taus[i - 1]
-        phi1[i - 1] = (TWO_E_EULER + acc1) / taus[i - 1]
+    for lo in range(2 * m, n, m):  # rows lo .. hi - 1, i.e. tau in (lo h, hi h]
+        hi = min(lo + m, n)
+        back, prev = slice(lo - m - 1, hi - m - 1), slice(lo - m, hi - m)  # the trapezoid's two rows
+        acc0s = np.cumsum(np.concatenate(([acc0], h / 2 * (phi1[back] + phi1[prev]))))[1:]
+        acc1s = np.cumsum(np.concatenate(([acc1], h / 2 * (phi0[back] + phi0[prev]))))[1:]
+        phi0[lo:hi] = acc0s / taus[lo:hi]
+        phi1[lo:hi] = (TWO_E_EULER + acc1s) / taus[lo:hi]
+        acc0, acc1 = acc0s[-1], acc1s[-1]
     table = SieveFunctionTable(step=h, taus=taus, phi0=phi0, phi1=phi1)
     _validate_closed_forms(table)
     return table
@@ -405,6 +413,16 @@ class ParityExtremalReport:
         }
 
 
+@lru_cache(maxsize=2)
+def _parity_window(x: int, r: int) -> _Profile:
+    """The default-window profile of the parity-r sequence below x, shared by every z <= 53.
+
+    Only the profile is kept (2^15-entry tables, at most about 1 MB), never
+    the problem or its value array.
+    """
+    return build_problem("parity", {"x": x, "r": r}).profile()
+
+
 def parity_extremal(x: int, z: int, r: int) -> ParityExtremalReport:
     """Sift the fixed-parity sequence and compare with its weight-sum form.
 
@@ -418,9 +436,9 @@ def parity_extremal(x: int, z: int, r: int) -> ParityExtremalReport:
     problem = build_problem("parity", {"x": x, "r": r})
     weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
     primes = problem.sifting_primes(z)
-    exact = exact_sift(problem, z)
-    # below the profile window, exact_sift has already built the full profile
-    prof = problem.profile_below(z)
+    # every z in the window reads one shared profile; a wider one lives for this call only
+    prof = _parity_window(x, r) if in_profile_window(z) else problem.profile_below(z)
+    exact = prof.sift_count(z)
     rho_sum = 0
     sigma_sum = 0
     for tag, d, factors, mu in weight_walk(primes, weights):

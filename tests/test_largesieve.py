@@ -35,6 +35,16 @@ def test_farey_examples():
         farey_points(1)
 
 
+def test_farey_recurrence_matches_sorted_reduced_fractions():
+    for Q in range(2, 81):
+        want = tuple(sorted([Fraction(0)] + [Fraction(a, q) for q in range(2, Q + 1) for a in range(1, q)
+                                             if math.gcd(a, q) == 1]))
+        pts = farey_points(Q)
+        assert pts.points == want, Q
+        assert all(type(t) is Fraction for t in pts.points)
+        assert pts.delta == Fraction(1, Q * (Q - 1))
+
+
 def test_farey_delta_exact_up_to_50():
     for Q in range(2, 51):
         pts = farey_points(Q)

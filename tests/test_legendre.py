@@ -48,6 +48,37 @@ def test_decompose_z2_is_trivial():
     assert dec.total == prob.size
 
 
+def _inert_at(q):
+    return SiftingDensity(lambda p: Fraction(0) if p == q else Fraction(1), 1.0)
+
+
+def test_inert_prime_dividing_an_element_raises():
+    # omega(3) = 0 drops 3 from the sifting primes while the oracle still sifts by it:
+    # Legendre's total would read 34 against exact_sift's 22, so the problem is refused
+    prob = build_problem("custom", {"elements": list(range(1, 100)), "density": _inert_at(3)})
+    assert exact_sift(prob, 10) == 22
+    with pytest.raises(ValueError, match=r"omega\(3\) = 0"):
+        prob.sifting_primes(10)
+    with pytest.raises(ValueError, match=r"omega\(3\) = 0"):
+        legendre_decompose(prob, 10)
+    assert prob.sifting_primes(3) == (2,)  # 3 is not below z = 3, so it is not asked about
+
+
+def test_inert_prime_dividing_no_element_is_dropped_once():
+    prob = build_problem("custom", {"elements": list(range(1, 100, 2)), "density": _inert_at(2)})
+    calls = []
+    count_multiple = prob.count_multiple
+    prob.count_multiple = lambda d, d_primes=None: calls.append(d) or count_multiple(d, d_primes)
+    assert prob.sifting_primes(10) == (3, 5, 7)
+    assert prob.sifting_primes(12) == (3, 5, 7, 11)
+    assert calls == [2]  # checked once per problem and prime
+    assert legendre_decompose(prob, 10).total == exact_sift(prob, 10)
+    # shifted_prime has omega(2) = 0, and 2 divides no p + 2 with p odd
+    shifted = build_problem("shifted_prime", {"x": 2000}, table=primes_up_to(2002))
+    assert shifted.sifting_primes(10) == (3, 5, 7)
+    assert legendre_decompose(shifted, 10).total == exact_sift(shifted, 10)
+
+
 def test_decompose_matches_oracle_all_kinds():
     from sievekit.arith import primes_up_to
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sievekit.arith import BudgetError, factor_squarefree, factorize, mobius, primes_up_to, small_primes
-from sievekit.problem import build_problem, exact_sift, factor_count_sieve
+from sievekit import rosser
+from sievekit.problem import SieveProblem, build_problem, exact_sift, factor_count_sieve
 from sievekit.rosser import (
     TWO_E_EULER,
     ChenReport,
@@ -240,6 +243,32 @@ def test_step_halving_convergence():
     assert max(diff0, diff1) < 4e-6
 
 
+def _row_loop_sieve_functions(tau_max, step):
+    """The row-by-row integration of the delay system, the reference for the blockwise solver."""
+    m = round(1 / step)
+    h = 1.0 / m
+    n = int(round(tau_max * m))
+    taus = np.arange(1, n + 1) / m
+    phi1 = np.where(taus <= 2, TWO_E_EULER / taus, 0.0)
+    phi0 = np.zeros(n)
+    acc0 = acc1 = 0.0
+    for i in range(2 * m + 1, n + 1):
+        acc0 += h / 2 * (phi1[i - m - 2] + phi1[i - m - 1])
+        acc1 += h / 2 * (phi0[i - m - 2] + phi0[i - m - 1])
+        phi0[i - 1] = acc0 / taus[i - 1]
+        phi1[i - 1] = (TWO_E_EULER + acc1) / taus[i - 1]
+    return phi0, phi1
+
+
+@pytest.mark.parametrize("tau_max, step", [(12.0, 1e-3), (4.5, 1e-3), (7.3, 5e-4), (3.0, 2.5e-4)])
+def test_blockwise_solver_matches_row_loop(tau_max, step):
+    # whole and partial last blocks; the running sums add in the loop's order
+    table = solve_sieve_functions(tau_max, step)
+    phi0, phi1 = _row_loop_sieve_functions(tau_max, step)
+    assert np.array_equal(table.phi0, phi0)
+    assert np.array_equal(table.phi1, phi1)
+
+
 def test_step_guard():
     with pytest.raises(ValueError):
         solve_sieve_functions(step=0.01)
@@ -323,6 +352,38 @@ def test_parity_extremal_sigma_terms_above_window_match_oracle_calls(z):
         rep = parity_extremal(x, z, r)
         assert rep.sigma_sum == want > 0, (z, r)
         assert rep.full_identity_exact
+
+
+def test_parity_extremal_shared_window_matches_cold_calls(monkeypatch):
+    # calls at one (x, r) share the window profile; each report must equal a
+    # call made with the cache emptied, on both sides of z = 53, and no
+    # profile wider than the window (the 15 primes below 53) may outlive its call
+    window = len(small_primes(53))
+    made = []
+    profile = SieveProblem.profile
+
+    def recording(self, primes=None):
+        prof = profile(self, primes)
+        if len(prof.primes) > window:
+            made.append(weakref.ref(prof))
+        return prof
+
+    monkeypatch.setattr(SieveProblem, "profile", recording)
+    calls = [(x, z, r) for x in (10**4, 10**6, 10**4) for z in (2, 8, 24, 31, 53, 54, 60) for r in (0, 1)]
+    rosser._parity_window.cache_clear()
+    shared = []
+    for call in calls:
+        shared.append(parity_extremal(*call))
+        gc.collect()
+        assert all(ref() is None for ref in made), call
+    assert len(made) == 12  # z = 54 and 60 at each x and r, each gone after its call
+    assert rosser._parity_window.cache_info().hits == 24  # 5 window z per (x, r), 4 of them shared
+    problems = {}
+    for (x, z, r), rep in zip(calls, shared):
+        rosser._parity_window.cache_clear()
+        assert repr(parity_extremal(x, z, r)) == repr(rep), (x, z, r)
+        prob = problems.setdefault((x, r), build_problem("parity", {"x": x, "r": r}))
+        assert rep.exact == exact_sift(prob, z), (x, z, r)
 
 
 def test_parity_extremal_ratio_trend():

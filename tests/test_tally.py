@@ -107,11 +107,13 @@ def _problem(data):
         assume(math.gcd(k, l) == 1)
         params = {"x": x, "k": k, "l": l}
     else:
-        # a fractional density below p, vanishing at some primes, and a fractional X
+        # a fractional density below p, vanishing at some primes, and a fractional X;
+        # a prime may be inert (omega = 0) only if it divides no element, or the problem is refused
         u, v, m = (data.draw(st.integers(1, 9)) for _ in range(3))
-        density = SiftingDensity(
-            lambda p: Fraction(0) if p % (m + 2) == 1 else Fraction(u * p, (u + v) * p - 1), 1.0)
         elements = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=300))
+        density = SiftingDensity(
+            lambda p: Fraction(0) if p % (m + 2) == 1 and all(e % p for e in elements)
+            else Fraction(u * p, (u + v) * p - 1), 1.0)
         params = {"elements": elements, "density": density,
                   "X": Fraction(data.draw(st.integers(1, 10**6)), data.draw(st.integers(1, 97)))}
     return build_problem(kind, params, table=TABLE)
