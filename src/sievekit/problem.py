@@ -361,7 +361,7 @@ class SieveProblem:
         histogram entries would exceed ``DIVISOR_CAP``.
         """
         if primes is None:
-            primes = tuple(p for p in small_primes(_PROFILE_Z))
+            primes = small_primes(_PROFILE_Z)
         if (1 << len(primes)) > DIVISOR_CAP:
             raise BudgetError(f"2^{len(primes)} profile entries exceed the enumeration cap")
         prof = self._profiles.get(primes)
@@ -614,38 +614,47 @@ def count_in_class(problem: SieveProblem, d: int) -> tuple[int, Fraction]:
     return count, Fraction(count) - main
 
 
+def density_numerators(density: SiftingDensity, primes) -> tuple[int, Callable[[tuple[int, ...]], int]]:
+    """(L, n) with omega(d)/d = n(factors)/L, an int, for d over ``primes``; L = prod of p b_p, omega(p) = a_p/b_p."""
+    ab = {p: (density.omega(p).numerator, p * density.omega(p).denominator) for p in primes}
+    L = math.prod(pb for _, pb in ab.values())
+
+    def n(factors) -> int:
+        a = pb = 1
+        for p in factors:
+            a_p, pb_p = ab[p]
+            a *= a_p
+            pb *= pb_p
+        return a * (L // pb)
+
+    return L, n
+
+
 def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = False) -> tuple[Fraction, Fraction]:
     """Exact (X * sum of mu omega(d)/d, sum of |R_d|) over divisor-walk items.
 
     ``items`` yields (d, factors, mu) with every factor in ``primes``;
     R_d = |A_d| - (omega(d)/d) X is the class remainder, and ``worst_case``
     tallies the density bound omega(d) in place of |R_d|.  With
-    omega(p) = a_p/b_p, X = x_num/x_den and L = prod of p b_p over
-    ``primes``, every term is an integer over L x_den (omega(d)/d = n_d/L
-    with n_d = prod a_p * L / prod p b_p), so the sums run in Python ints
-    and each result is one Fraction: the same rationals as a per-divisor
-    Fraction sum, and so the same floats.
+    omega(d)/d = n_d/L (``density_numerators``) and X = x_num/x_den, every
+    term is an integer over L x_den, so the sums run in Python ints and
+    each result is one Fraction: the same rationals as a per-divisor
+    Fraction sum, and so the same floats.  |A_d| is read off the default
+    profile when every prime lies below 53.
     """
-    local = {}
-    for p in primes:
-        w = problem.density.omega(p)
-        local[p] = (w.numerator, p * w.denominator)
-    L = math.prod(pb for _, pb in local.values())
+    L, n_of = density_numerators(problem.density, primes)
     x_num, x_den = problem.X.numerator, problem.X.denominator
     scale = L * x_den
+    prof = None if worst_case or not all(p < _PROFILE_Z for p in primes) else problem.profile()
     main = rem = 0
     for d, factors, mu in items:
-        a = pb = 1
-        for p in factors:
-            a_p, pb_p = local[p]
-            a *= a_p
-            pb *= pb_p
-        n = a * (L // pb)
+        n = n_of(factors)
         main += mu * n
         if worst_case:
             rem += n * d  # omega(d) = n_d d / L
         else:
-            rem += abs(problem.count_multiple(d, factors) * scale - n * x_num)
+            count = prof.count_multiple(factors) if prof else problem.count_multiple(d, factors)
+            rem += abs(count * scale - n * x_num)
     return Fraction(main * x_num, scale), Fraction(rem, L if worst_case else scale)
 
 

@@ -17,6 +17,7 @@ triples for almost-prime counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ from .problem import (
     SieveProblem,
     _Profile,
     build_problem,
+    density_numerators,
     divisor_tally,
     exact_sift,
     factor_count_sieve,
@@ -173,14 +175,15 @@ class IdentityReport:
 
 
 def buchstab_check(problem: SieveProblem, z0: int, z: int) -> IdentityReport:
-    """|S(A,z)| = |S(A,z0)| - sum over z0 <= p < z of |S(A_p, p)|, exactly."""
+    """|S(A,z)| = |S(A,z0)| - sum over z0 <= p < z of |S(A_p, p)|, exactly, off ``profile_below(z)``."""
     if not 2 <= z0 <= z:
         raise ValueError("need 2 <= z0 <= z")
-    lhs = exact_sift(problem, z)
-    total = exact_sift(problem, z0)
+    prof = problem.profile_below(z)
+    lhs = prof.sift_count(z)
+    total = prof.sift_count(z0)
     drops = {}
     for p in problem.sifting_primes(z, z0):
-        drops[p] = problem.sift_count(p, (p,))
+        drops[p] = prof.sift_count(p, (p,))
         total -= drops[p]
     return IdentityReport(lhs, total, lhs == total, {"drops": drops})
 
@@ -190,28 +193,35 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
 
     rhs = sum of mu(d) rho(d) |S(A_d, z0)| + (-1)^r sum of sigma(d) |S(A_d, p(d))|
     over squarefree d built from the window primes; dropping the sigma sum
-    leaves a one-sided bound.  The density analogue is checked in exact
-    rationals alongside.
+    leaves a one-sided bound.  Every count is read off ``profile_below(z)``.
+    The density analogue is checked in exact rationals alongside, summed in
+    ints over omega(d)/d = n_d/L: V(z0) sum mu(d) n_d / L plus the sum over
+    p of V(p) S_p / L, S_p the sum of n_d over sigma divisors of least prime
+    p, with V(p) read off one running product that ends at V(z).
     """
+    if not 2 <= z0 <= z:
+        raise ValueError("need 2 <= z0 <= z")
     primes = problem.sifting_primes(z, z0)
-    lhs = exact_sift(problem, z)
-    rho_sum = 0
-    sigma_sum = 0
-    v0 = Fraction(0)
-    v_sigma = Fraction(0)
-    dens = problem.density
+    prof = problem.profile_below(z)
+    lhs = prof.sift_count(z)
+    L, n_of = density_numerators(problem.density, primes)
+    rho_sum = sigma_sum = n_rho = 0
+    n_sigma = dict.fromkeys(primes, 0)
     for tag, d, factors, mu in weight_walk(primes, weights):
-        w_d = dens.omega_d(factors)
         if tag == "rho":
-            rho_sum += mu * problem.sift_count(z0, factors)
-            v0 += mu * w_d / d
+            rho_sum += mu * prof.sift_count(z0, factors)
+            n_rho += mu * n_of(factors)
         else:
-            sigma_sum += problem.sift_count(factors[-1], factors)
-            v_sigma += w_d / d * density_product(dens, factors[-1])
+            sigma_sum += prof.sift_count(factors[-1], factors)
+            n_sigma[factors[-1]] += n_of(factors)
     sign = (-1) ** weights.r
     rhs = rho_sum + sign * sigma_sum
-    v_lhs = density_product(dens, z)
-    v_rhs = density_product(dens, z0) * v0 + sign * v_sigma
+    v = density_product(problem.density, z0)  # V(p) on reaching each p below, V(z) after the loop
+    v_rhs = v * Fraction(n_rho, L)
+    ps = small_primes(z)
+    for p in ps[bisect_left(ps, z0):]:
+        v_rhs += sign * v * Fraction(n_sigma.get(p, 0), L)
+        v *= 1 - problem.density.omega(p) / p
     bound_holds = sign * (lhs - rho_sum) >= 0
     return IdentityReport(
         lhs,
@@ -221,8 +231,8 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
             "rho_sum": rho_sum,
             "sigma_sum": sigma_sum,
             "bound_holds": bound_holds,
-            "v_identity_holds": v_lhs == v_rhs,
-            "v_lhs": v_lhs,
+            "v_identity_holds": v == v_rhs,
+            "v_lhs": v,
             "v_rhs": v_rhs,
         },
     )
@@ -318,8 +328,8 @@ def solve_sieve_functions(tau_max: float = 10.0, step: float = 1e-3) -> SieveFun
     m = round(1 / step)
     h = 1.0 / m
     n = int(round(tau_max * m))
-    if n < 2 * m:
-        raise ValueError("tau_max must be at least 2")
+    if n <= 2 * m:
+        raise ValueError("tau_max must exceed 2")
     idx = np.arange(1, n + 1)
     taus = idx / m
     phi1 = np.where(taus <= 2, TWO_E_EULER / taus, 0.0)

@@ -129,6 +129,12 @@ def test_sievefun_csv(capsys):
     assert row2["phi1"].startswith("1.78107241799")
 
 
+def test_sievefun_tau_max_2_is_a_config_error(capsys):
+    code = main(["sievefun", "--tau-max", "2"])
+    assert code == 2
+    assert "tau_max must exceed 2" in capsys.readouterr().err
+
+
 def test_chen_command(capsys):
     code, out = run(["chen", "--N", "10000", "--format", "json"], capsys)
     assert code == 0

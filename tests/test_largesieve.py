@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -48,7 +47,14 @@ def test_farey_recurrence_matches_sorted_reduced_fractions():
 def test_farey_delta_exact_up_to_50():
     for Q in range(2, 51):
         pts = farey_points(Q)
-        direct = min(abs(a - b) for a, b in combinations(pts.points, 2))
+        # every pairwise gap |a/q - b/r| as the int64 pair (|a r - b q|, q r)
+        a = np.array([t.numerator for t in pts.points], dtype=np.int64)
+        q = np.array([t.denominator for t in pts.points], dtype=np.int64)
+        i, j = np.triu_indices(len(a), k=1)
+        num, den = np.abs(a[i] * q[j] - a[j] * q[i]), q[i] * q[j]
+        k = np.argmin(num / den)
+        assert not np.any(num * den[k] < num[k] * den)  # no gap below the candidate, exactly
+        direct = Fraction(int(num[k]), int(den[k]))
         circular = min_circular_distance(pts.points)
         assert circular == Fraction(1, Q * (Q - 1))
         assert direct == circular  # the wraparound gap is never the minimum here

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from sievekit.arith import BudgetError, factor_squarefree, factorize, mobius, primes_up_to, small_primes
 from sievekit import rosser
-from sievekit.problem import SieveProblem, build_problem, exact_sift, factor_count_sieve
+from sievekit.legendre import density_product
+from sievekit.problem import SieveProblem, SiftingDensity, build_problem, exact_sift, factor_count_sieve
 from sievekit.rosser import (
     TWO_E_EULER,
     ChenReport,
+    IdentityReport,
     RosserWeightTable,
     buchstab_check,
     chen_decomposition,
@@ -197,6 +199,87 @@ def test_truncation_inequalities():
         truncation_inequality_check(100.0, 2.0, 0, 20)
 
 
+def reference_buchstab_check(problem, z0, z):
+    """The per-item Buchstab check: every count is its own oracle call."""
+    lhs = exact_sift(problem, z)
+    total = exact_sift(problem, z0)
+    drops = {}
+    for p in problem.sifting_primes(z, z0):
+        drops[p] = problem.sift_count(p, (p,))
+        total -= drops[p]
+    return IdentityReport(lhs, total, lhs == total, {"drops": drops})
+
+
+def reference_rosser_identity(problem, z0, z, weights):
+    """The per-item Rosser identity: one oracle call and one Fraction density term per walk item."""
+    primes = problem.sifting_primes(z, z0)
+    lhs = exact_sift(problem, z)
+    rho_sum = sigma_sum = 0
+    v0 = v_sigma = Fraction(0)
+    dens = problem.density
+    for tag, d, factors, mu in weight_walk(primes, weights):
+        w_d = dens.omega_d(factors)
+        if tag == "rho":
+            rho_sum += mu * problem.sift_count(z0, factors)
+            v0 += mu * w_d / d
+        else:
+            sigma_sum += problem.sift_count(factors[-1], factors)
+            v_sigma += w_d / d * density_product(dens, factors[-1])
+    sign = (-1) ** weights.r
+    v_lhs = density_product(dens, z)
+    v_rhs = density_product(dens, z0) * v0 + sign * v_sigma
+    detail = {"rho_sum": rho_sum, "sigma_sum": sigma_sum, "bound_holds": sign * (lhs - rho_sum) >= 0,
+              "v_identity_holds": v_lhs == v_rhs, "v_lhs": v_lhs, "v_rhs": v_rhs}
+    return IdentityReport(lhs, rho_sum + sign * sigma_sum, lhs == rho_sum + sign * sigma_sum, detail)
+
+
+def _identity_problem(kind, table):
+    if kind == "custom":
+        # 7 is inert (omega(7) = 0) and divides no element; the density is fractional, and so is X
+        elements = [n for n in range(1, 4000) if n % 7]
+        density = SiftingDensity(lambda p: Fraction(0) if p == 7 else Fraction(2 * p, 2 * p + 1), 1.0)
+        return build_problem("custom", {"elements": elements, "density": density, "X": Fraction(6857, 2)})
+    params = {"interval": {"x": 6000, "y": 5000}, "twin": {"x": 4000}, "goldbach": {"N": 4000},
+              # 3 divides k, so it is inert for the progression
+              "progression": {"x": 6000, "k": 3, "l": 2}, "parity": {"x": 2 * 10**4, "r": 1},
+              "shifted_prime": {"x": 6000}}[kind]
+    return build_problem(kind, params, table=table)
+
+
+@pytest.mark.parametrize("kind", ["interval", "twin", "goldbach", "progression", "parity", "shifted_prime", "custom"])
+def test_identities_read_off_profile_match_per_item_references(kind, table):
+    # the profile answers every count on both sides of z = 53; parity at z = 60, D = 1e6, r = 1
+    # is the shape whose per-item sigma terms made one pass over the values per prime
+    prob = _identity_problem(kind, table)
+    for z in (15, 47, 53, 54, 60):
+        for z0 in (2, 3, 5):
+            assert repr(buchstab_check(prob, z0, z)) == repr(reference_buchstab_check(prob, z0, z)), (z0, z)
+            for D in (1e3, 1e6):
+                for r in (0, 1):
+                    w = RosserWeightTable(D=D, beta=2.0, r=r)
+                    rep = rosser_identity(prob, z0, z, w)
+                    assert repr(rep) == repr(reference_rosser_identity(prob, z0, z, w)), (z0, z, D, r)
+                    assert rep.holds and rep.detail["v_identity_holds"]
+
+
+def test_identities_refuse_a_profile_past_25_primes():
+    # 29 primes below 110: the 2^29-entry profile is refused before it is built
+    prob = build_problem("twin", {"x": 1000})
+    with pytest.raises(BudgetError):
+        rosser_identity(prob, 2, 110, RosserWeightTable(D=1e3, beta=2.0, r=0))
+    with pytest.raises(BudgetError):
+        buchstab_check(prob, 2, 110)
+
+
+def test_identities_need_2_le_z0_le_z():
+    prob = build_problem("twin", {"x": 1000})
+    for z0, z in ((5, 3), (1, 10)):
+        with pytest.raises(ValueError):
+            rosser_identity(prob, z0, z, RosserWeightTable(D=1e3, beta=2.0, r=0))
+        with pytest.raises(ValueError):
+            buchstab_check(prob, z0, z)
+
+
 # -- sieve functions ----------------------------------------------------------
 
 
@@ -272,6 +355,11 @@ def test_blockwise_solver_matches_row_loop(tau_max, step):
 def test_step_guard():
     with pytest.raises(ValueError):
         solve_sieve_functions(step=0.01)
+    # tau_max = 2 leaves no row past the closed-form seed to integrate
+    for tau_max in (1.5, 2.0, 2.0004):
+        with pytest.raises(ValueError, match="tau_max must exceed 2"):
+            solve_sieve_functions(tau_max=tau_max)
+    assert len(solve_sieve_functions(tau_max=2.001).taus) == 2001
 
 
 def test_csv_round_trip(tmp_path, functions):

@@ -157,6 +157,30 @@ def test_bounds_rows_pinned_at_bench_scale():
             reference_linear_sieve_bound(prob, z, float(z) ** 3, 1, kappa).row()
 
 
+@pytest.mark.parametrize("kind", ["twin", "goldbach", "progression", "shifted_prime"])
+def test_tallies_across_the_profile_window(kind):
+    # |A_d| is read off the default profile while every prime lies below 53,
+    # and comes from count_multiple once 53 or 59 joins the walk
+    params = {"twin": {"x": 2500}, "goldbach": {"N": 2500}, "shifted_prime": {"x": 2500},
+              "progression": {"x": 2500, "k": 14, "l": 3}}[kind]  # 2 and 7 are inert
+    prob = build_problem(kind, params, table=TABLE)
+    kappa = reference_dimension_fit(prob.density, 100, 10**5)
+    for z in (47, 53, 54, 60):
+        primes = [p for p in small_primes(z) if prob.density.omega(p) != 0]
+        for ell, parity in ((1, "upper"), (1, "lower"), (2, "upper")):
+            config = PureSieveConfig(z, ell, parity)
+            walk = divisor_walk(primes, max_nu=config.cutoff)
+            assert divisor_tally(prob, primes, walk) == reference_pure_tally(prob, primes, config.cutoff, False)
+            assert pure_sieve_bound(prob, config).row() == reference_pure_sieve_bound(prob, config, False).row()
+        for D, r in ((float(z) ** 2, 0), (float(z) ** 3, 1), (1e4, 0)):
+            weights = RosserWeightTable(D=D, beta=2.0, r=r)
+            kept = ((d, f, mu) for tag, d, f, mu in weight_walk(primes, weights) if tag == "rho")
+            assert divisor_tally(prob, primes, kept)[1] == reference_linear_tally(prob, primes, weights)
+            rep = linear_sieve_bound(prob, z, D, r)
+            assert rep.params["kappa_fit"] == kappa
+            assert rep.row() == reference_linear_sieve_bound(prob, z, D, r, kappa).row(), (z, D, r)
+
+
 DENSITIES = {
     "unit": lambda: build_problem("interval", {"x": 100, "y": 100}).density,
     "twin": lambda: build_problem("twin", {"x": 100}).density,
