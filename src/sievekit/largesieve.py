@@ -21,6 +21,7 @@ from itertools import product
 import numpy as np
 
 from .arith import BudgetError, euler_phi, factorize
+from .problem import _LUT_MODULUS
 
 IDENT_RTOL = 1e-9
 INEQ_SLACK = 1e-12
@@ -28,27 +29,42 @@ POWER_TOL = 1e-12  # relative Rayleigh-quotient step at which power iteration st
 POWER_MAX_ITER = 20000
 
 
-def min_circular_distance(points) -> Fraction | float:
-    """Minimum pairwise distance mod 1; exact when points are Fractions."""
-    pts = sorted(points)
-    if len(pts) < 2:
+def min_circular_distance(points) -> Fraction:
+    """Minimum pairwise distance mod 1, exact (a float counts as the rational it stores).
+
+    Points are compared as integer pairs (a, q) by cross-multiplication, so
+    an ascending input is not re-sorted, and one ``Fraction`` is made.
+    """
+    if len(points) < 2:
         raise ValueError("need at least two points for a separation")
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
-    gaps.append(1 - pts[-1] + pts[0])
-    return min(gaps)
+    pts = [t if isinstance(t, Fraction) else Fraction(t) for t in points]
+    pairs = [(t.numerator, t.denominator) for t in pts]
+    if any(a * s > c * q for (a, q), (c, s) in zip(pairs, pairs[1:])):
+        # a correctly rounded a / q orders all but ties, which the Fraction breaks
+        pairs = [(t.numerator, t.denominator) for t in sorted(pts, key=lambda t: (t.numerator / t.denominator, t))]
+    (a, q), (c, s) = pairs[-1], pairs[0]
+    num, den = q * s - a * s + c * q, q * s  # the wraparound gap 1 - a/q + c/s
+    for (a, q), (c, s) in zip(pairs, pairs[1:]):
+        if (c * q - a * s) * den < num * q * s:
+            num, den = c * q - a * s, q * s
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
 class SeparatedPoints:
-    """Points in [0, 1) with a certified minimum circular separation."""
+    """Points in [0, 1) with a certified minimum circular separation; ``delta=None`` takes the measured one."""
 
     points: tuple
-    delta: Fraction | float
+    delta: Fraction | float | None = None
 
     def __post_init__(self):
-        if len(self.points) > 1 and min_circular_distance(self.points) < self.delta:
-            raise ValueError("points are closer than the declared separation")
-        if self.delta <= 0:
+        if len(self.points) > 1:
+            gap = min_circular_distance(self.points)
+            if self.delta is None:
+                object.__setattr__(self, "delta", gap)
+            elif gap < self.delta:
+                raise ValueError("points are closer than the declared separation")
+        if self.delta is None or self.delta <= 0:
             raise ValueError("delta must be positive")
 
     def as_floats(self) -> np.ndarray:
@@ -74,63 +90,89 @@ def farey_points(Q: int) -> SeparatedPoints:
 
 
 def _phase_groups(points: SeparatedPoints, M: int, N: int):
-    """Yield (rows, table, cols) with e(n t_j) = table[k, cols[n - M]] for j = rows[k].
+    """Yield (rows, table): the phases e(n t) of points ``rows``, n in [M, M + N), at column n mod width.
 
-    Points are grouped by their exact denominator q.  For a/q the phase
-    depends only on n mod q, so a group with q < N gets one period table
-    e((a r mod q) / q) over r in [0, q), its exponent reduced exactly in
-    integers.  A group with q >= N (float points with long binary
-    denominators among them) gains nothing from folding and is evaluated
-    on n directly, which needs int64 indices.  Memory is
-    O(N + max_q |A_q| min(q, N)).
+    Points are grouped by their exact denominator q; the width is q when
+    q < N (e(n a/q) has period q) and N otherwise.  Exponents are reduced
+    exactly in integers, M as a Python int, so starts past 2^63 are fine;
+    only q >= 2^31 (floats among them) takes float t * n, with int64 n.
     """
-    offsets = np.arange(N, dtype=np.int64)
-    fracs = [Fraction(t) for t in points.points]
+    fracs = [t if isinstance(t, Fraction) else Fraction(t) for t in points.points]
     groups: dict[int, list[int]] = {}
     for j, t in enumerate(fracs):
         groups.setdefault(t.denominator, []).append(j)
     for q, rows in groups.items():
         if q < N:
-            a = np.array([fracs[j].numerator % q for j in rows], dtype=np.int64)
             r = np.arange(q, dtype=np.int64)
-            # M is reduced as a Python int, so indices past 2^63 fold exactly
-            yield rows, np.exp(2j * np.pi * (a[:, None] * r % q) / q), (M % q + offsets) % q
         else:
-            n = np.arange(M, M + N, dtype=np.int64)
-            theta = np.array([float(points.points[j]) for j in rows])
-            yield rows, np.exp(2j * np.pi * theta[:, None] * n), offsets
+            r = (np.arange(N, dtype=np.int64) - M % N) % N  # n - M at column n mod N
+            if q >= 1 << 31:
+                theta = np.array([float(points.points[j]) for j in rows])
+                yield rows, np.exp(2j * np.pi * theta[:, None] * (M + r))
+                continue
+            r = (M % q + r) % q
+        a = np.array([fracs[j].numerator % q for j in rows], dtype=np.int64)
+        yield rows, np.exp(2j * np.pi * (a[:, None] * r % q) / q)
 
 
-def additive_ls_check(points: SeparatedPoints, coefficients, M: int = 0) -> tuple[float, float, float]:
+def _add_periodic(values: np.ndarray, period: np.ndarray, M: int) -> None:
+    """values[i] += period[(M + i) mod q] in place, q = len(period): a head, whole periods, a tail."""
+    q, N = len(period), len(values)
+    s = M % q
+    head = min(q - s, N)
+    values[:head] += period[s:s + head]
+    k = (N - head) // q
+    values[head:head + k * q].reshape(k, q)[...] += period
+    values[head + k * q:] += period[:N - head - k * q]
+
+
+def additive_ls_check(points: SeparatedPoints, coefficients, M: int = 0):
     """Point-side energy against (N - 1 + 1/delta) x coefficient energy.
 
     lhs = sum over points of |sum_n a_n e(n theta)|^2, coefficients indexed
     over [M, M+N).  Returns (lhs, rhs, ratio); the inequality asserts
-    ratio <= 1.
+    ratio <= 1.  Coefficients of shape (V, N) are V vectors checked at
+    once, and lhs, rhs and ratio are then arrays of length V.
     """
     a = np.asarray(coefficients, dtype=complex)
-    N = len(a)
+    N = a.shape[-1]
     if N == 0:
         raise ValueError("empty coefficient vector")
-    lhs = 0.0
-    for _rows, table, cols in _phase_groups(points, M, N):
-        width = table.shape[1]
-        folded = (np.bincount(cols, weights=a.real, minlength=width)
-                  + 1j * np.bincount(cols, weights=a.imag, minlength=width))
-        lhs += float(np.sum(np.abs(table @ folded) ** 2))
-    rhs = float((N - 1 + 1 / points.delta) * np.sum(np.abs(a) ** 2))
-    ratio = 0.0 if rhs == 0 else lhs / rhs
+    lhs = np.zeros(a.shape[:-1])
+    for _rows, table in _phase_groups(points, M, N):
+        w = table.shape[1]
+        pad = [(0, 0)] * (a.ndim - 1) + [(M % w, -(M % w + N) % w)]
+        folded = np.pad(a, pad).reshape(*a.shape[:-1], -1, w).sum(axis=-2)
+        lhs += np.sum(np.abs(folded @ table.T) ** 2, axis=-1)
+    rhs = float(N - 1 + 1 / points.delta) * np.sum(np.abs(a) ** 2, axis=-1)
+    ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0)
+    if a.ndim == 1:
+        return float(lhs), float(rhs), float(ratio)
     return lhs, rhs, ratio
 
 
 def dual_ls_check(points: SeparatedPoints, point_coefficients, M: int, N: int) -> tuple[float, float, float]:
-    """Interval-side energy of a point-supported polynomial, same constant."""
+    """Interval-side energy of a point-supported polynomial, same constant.
+
+    Period vectors add into a run table of modulus m = lcm of their widths;
+    a vector that would take m past ``_LUT_MODULUS`` (2^18) starts a new run,
+    so each run, not each denominator, makes one pass over N.
+    """
     b = np.asarray(point_coefficients, dtype=complex)
     if len(b) != len(points.points):
         raise ValueError("one coefficient per point required")
     values = np.zeros(N, dtype=complex)
-    for rows, table, cols in _phase_groups(points, M, N):
-        values += (table.T @ b[rows])[cols]
+    run = np.zeros(1, dtype=complex)
+    for rows, table in _phase_groups(points, M, N):
+        w = table.shape[1]
+        m = math.lcm(len(run), w)
+        if m > _LUT_MODULUS:
+            _add_periodic(values, run, M)
+            run = np.zeros(w, dtype=complex)
+        elif m > len(run):
+            run = np.tile(run, m // len(run))
+        run.reshape(-1, w)[...] += table.T @ b[rows]
+    _add_periodic(values, run, M)
     lhs = float(np.sum(np.abs(values) ** 2))
     rhs = float((N - 1 + 1 / points.delta) * np.sum(np.abs(b) ** 2))
     ratio = 0.0 if rhs == 0 else lhs / rhs
@@ -440,7 +482,8 @@ def duality_rayleigh(points: SeparatedPoints, M: int, N: int) -> tuple[float, fl
     pair must agree (up to iteration tolerance); this is the numerical
     content of the adjoint-norm equality.
     """
-    E = np.empty((len(points.points), N), dtype=complex)
-    for rows, table, cols in _phase_groups(points, M, N):
-        E[rows] = table[:, cols]
+    E = np.zeros((len(points.points), N), dtype=complex)
+    for rows, table in _phase_groups(points, M, N):
+        for j, period in zip(rows, table):
+            _add_periodic(E[j], period, M)
     return power_iteration_norm(E), power_iteration_norm(E.conj().T)

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -118,20 +120,40 @@ def optimal_lambda(z: int, residues: ResidueSystem, *, validate: bool = True) ->
     return LambdaWeights(z=z, values=values, G=G)
 
 
+def _numerators(weights: LambdaWeights) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(d, n_d)]): each nonzero lambda(d) as n_d / D over their least common denominator D."""
+    items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
+    D = math.lcm(*(lam.denominator for _, lam in items))
+    return D, [(d, lam.numerator * (D // lam.denominator)) for d, lam in items]
+
+
+def _lcm_terms(weights: LambdaWeights) -> tuple[int, int, list[tuple[list[int], int, int]]]:
+    """(D, P, [(primes of m, m, c_m)]): sum of lambda(d1) lambda(d2) f([d1, d2]) is sum c_m f(m) / D^2.
+
+    The c_m are integers and P is the product of the support's primes.  A
+    new lcm takes the merged primes of d1 and d2, so no lcm is factored.
+    """
+    D, items = _numerators(weights)
+    rows = [(d, prime_factors(d), n) for d, n in items]
+    coeff: dict[int, int] = {}
+    facs: dict[int, list[int]] = {}
+    for i, (d1, f1, n1) in enumerate(rows):
+        for d2, f2, n2 in rows[i:]:
+            m = d1 * d2 // math.gcd(d1, d2)
+            if m not in coeff:
+                coeff[m], facs[m] = 0, sorted({*f1, *f2})
+            coeff[m] += (1 if d1 == d2 else 2) * n1 * n2
+    return D, math.prod({p for _, f, _ in rows for p in f}), [(facs[m], m, c) for m, c in coeff.items()]
+
+
 def quadratic_form(weights: LambdaWeights, residues: ResidueSystem, *, check_diagonal: bool = True) -> Fraction:
-    """S = double sum of |Omega(lcm)|/lcm * lambda(d1) lambda(d2), exact.
+    """S = double sum of |Omega(lcm)|/lcm * lambda(d1) lambda(d2), exact: one integer over P D^2.
 
     With ``check_diagonal`` the diagonalized form is evaluated too and must
     agree exactly.
     """
-    items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
-    dens = {d: Fraction(residues.size_d(prime_factors(d)), d) for d, _ in items}
-    S = Fraction(0)
-    for d1, l1 in items:
-        for d2, l2 in items:
-            g = math.gcd(d1, d2)
-            gf = prime_factors(g)
-            S += dens[d1] * dens[d2] * Fraction(g, residues.size_d(gf)) * l1 * l2
+    D, P, terms = _lcm_terms(weights)
+    S = Fraction(sum(c * residues.size_d(fac) * (P // m) for fac, m, c in terms), P * D * D)
     if check_diagonal:
         xi = xi_transform(weights, residues)
         S_diag = Fraction(0)
@@ -181,20 +203,17 @@ def _as_form(problem, z: int) -> OmegaForm:
 
 
 def _true_remainder(form: OmegaForm, weights: LambdaWeights) -> Fraction:
-    """Signed remainder sum of lambda(d1) lambda(d2) R_[d1,d2] over the interval, exact."""
-    coeff: dict[int, Fraction] = {}
-    items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
-    for d1, l1 in items:
-        for d2, l2 in items:
-            m = d1 * d2 // math.gcd(d1, d2)
-            coeff[m] = coeff.get(m, 0) + l1 * l2
-    total = Fraction(0)
-    for m, c in coeff.items():
-        fac = prime_factors(m)
-        count = form.residues.count_in_interval(form.M, form.N, fac)
-        main = Fraction(form.residues.size_d(fac), m) * form.N
-        total += c * (count - main)
-    return total
+    """Signed remainder sum of lambda(d1) lambda(d2) R_[d1,d2] over the interval, exact.
+
+    R_m = |A_m| - |Omega(m)| N / m, so the sum is (P sum c_m |A_m| - N sum
+    c_m |Omega(m)| P/m) / (P D^2), two integer sums (see ``_lcm_terms``).
+    """
+    D, P, terms = _lcm_terms(weights)
+    rs, counted, main = form.residues, 0, 0
+    for fac, m, c in terms:
+        counted += c * rs.count_in_interval(form.M, form.N, fac)
+        main += c * rs.size_d(fac) * (P // m)
+    return Fraction(counted * P - main * form.N, P * D * D)
 
 
 def selberg_upper_bound(problem, z: int, *, worst_case: bool = False) -> BoundReport:
@@ -239,20 +258,29 @@ def dual_coefficient_sum(weights: LambdaWeights, residues: ResidueSystem) -> Fra
 
     Equals the quadratic form S exactly; evaluated independently here as
     sum over d1, d2 of lambda/d products of complete residue exponential
-    sums reduced to integer Ramanujan sums.
+    sums reduced to integer Ramanujan sums: T_g(h1 - h2) summed over the
+    roots h1 of d1 and h2 of d2, T_g(h) = sum over q | g = gcd(d1, d2) of
+    c_q(h), tabulated by gcd(g, h).  One integer over (D L)^2, L = lcm(d).
     """
-    items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
+    D, items = _numerators(weights)
+    L = math.lcm(*(d for d, _ in items))
     roots = {d: residues.roots_mod(prime_factors(d)) for d, _ in items}
-    total = Fraction(0)
-    for d1, l1 in items:
-        for d2, l2 in items:
-            qs = divisors(math.gcd(d1, d2))
-            inner = 0
-            for h1 in roots[d1]:
-                for h2 in roots[d2]:
-                    inner += sum(ramanujan_sum(q, h1 - h2) for q in qs)
-            total += l1 * l2 * Fraction(inner, d1 * d2)
-    return total
+
+    @cache
+    def reduced(d, g):  # the roots of d mod g, with their multiplicities
+        return tuple(Counter(h % g for h in roots[d]).items())
+
+    @cache
+    def T(g, e):
+        return sum(ramanujan_sum(q, e) for q in divisors(g))
+
+    total = 0
+    for i, (d1, n1) in enumerate(items):
+        for d2, n2 in items[i:]:
+            g = math.gcd(d1, d2)
+            inner = sum(k1 * k2 * T(g, math.gcd(g, h1 - h2)) for h1, k1 in reduced(d1, g) for h2, k2 in reduced(d2, g))
+            total += (1 if d1 == d2 else 2) * n1 * (L // d1) * n2 * (L // d2) * inner
+    return Fraction(total, (D * L) ** 2)
 
 
 def dual_b_values(weights: LambdaWeights, residues: ResidueSystem) -> tuple[list[Fraction], np.ndarray]:
@@ -320,11 +348,11 @@ def _additive_instance_check(form: OmegaForm, points, b, exact: int) -> None:
     the additive large-sieve inequality caps it by (N - 1 + 1/delta) times
     the coefficient energy.
     """
-    from .largesieve import SeparatedPoints, dual_ls_check, min_circular_distance
+    from .largesieve import SeparatedPoints, dual_ls_check
 
     if len(points) > 1:
-        pts = SeparatedPoints(tuple(points), min_circular_distance(points))
-        lhs, _rhs, ratio = dual_ls_check(pts, b, form.M, form.N)
+        # delta left open: the construction certifies the least separation once and keeps it
+        lhs, _rhs, ratio = dual_ls_check(SeparatedPoints(tuple(points)), b, form.M, form.N)
         if ratio > 1 + 1e-12:
             raise AssertionError("additive large-sieve instance violated")
     else:

@@ -20,7 +20,8 @@ from sievekit.largesieve import (
     multiplicative_ls_check,
     _unit_group,
 )
-from sievekit.problem import OmegaForm, ResidueSystem
+from sievekit.problem import OmegaForm, ResidueSystem, build_problem
+from sievekit.selberg import dual_b_values, optimal_lambda
 
 
 def test_farey_examples():
@@ -63,6 +64,39 @@ def test_farey_delta_exact_up_to_50():
 def test_separated_points_validation():
     with pytest.raises(ValueError):
         SeparatedPoints((Fraction(0), Fraction(1, 100)), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("points, least", [
+    ((Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 9)), Fraction(1, 18)),  # sorted Fractions
+    ((Fraction(1, 2), Fraction(0), Fraction(5, 9), Fraction(1, 3)), Fraction(1, 18)),  # unsorted Fractions
+    ((0.0, 0.25, 0.5, 0.55), Fraction(0.55) - Fraction(0.5)),  # sorted floats
+    ((0.55, 0.0, 0.5, 0.25), Fraction(0.55) - Fraction(0.5)),  # unsorted floats
+])
+def test_separation_is_checked_on_every_construction(points, least):
+    assert min_circular_distance(points) == least
+    assert SeparatedPoints(points).delta == least  # delta left open takes the measured separation
+    assert SeparatedPoints(points, least).delta == least
+    for too_wide in (least + Fraction(1, 10**12), 0.06):
+        with pytest.raises(ValueError):
+            SeparatedPoints(points, too_wide)
+
+
+def test_min_circular_distance_is_exact_and_order_free():
+    rng = np.random.default_rng(11)
+    for Q in (2, 7, 30):
+        pts = list(farey_points(Q).points)
+        assert min_circular_distance(pts) == Fraction(1, Q * (Q - 1))
+        rng.shuffle(pts)
+        assert min_circular_distance(pts) == Fraction(1, Q * (Q - 1))
+    # distinct rationals one ulp apart as floats, and the wraparound gap as the least
+    tiny = Fraction(1, 3) + Fraction(1, 10**30)
+    assert float(tiny) == float(Fraction(1, 3))
+    assert min_circular_distance([tiny, Fraction(0), Fraction(1, 3)]) == Fraction(1, 10**30)
+    assert min_circular_distance([Fraction(99, 100), Fraction(1, 2), Fraction(1, 200)]) == Fraction(3, 200)
+    # a float is the rational it stores
+    assert min_circular_distance([0.1, 0.3]) == Fraction(0.3) - Fraction(0.1)
+    with pytest.raises(ValueError):
+        SeparatedPoints((Fraction(1, 2),))  # one point has no separation to measure
 
 
 def test_additive_zero_vector():
@@ -115,6 +149,87 @@ def test_folded_energies_match_dense_reference():
             assert lhs == pytest.approx(float(np.sum(np.abs(E @ a) ** 2)), rel=1e-10)
             lhs, _, _ = dual_ls_check(pts, b, M, N)
             assert lhs == pytest.approx(float(np.sum(np.abs(E.T @ b) ** 2)), rel=1e-10)
+
+
+def test_batched_additive_rows_match_single_calls():
+    rng = np.random.default_rng(12)
+    cases = [(farey_points(10), 40, 0), (farey_points(23), 7, -37), (farey_points(5), 300, 10**30 + 7),
+             (SeparatedPoints((0.1, 0.25, 0.6180339887, 0.75), 0.1), 57, -3)]
+    for pts, N, M in cases:
+        a = rng.normal(size=(9, N)) + 1j * rng.normal(size=(9, N))
+        lhs, rhs, ratio = additive_ls_check(pts, a, M)
+        assert lhs.shape == rhs.shape == ratio.shape == (9,)
+        for row, l, r, q in zip(a, lhs, rhs, ratio):
+            one = additive_ls_check(pts, row, M)
+            assert all(isinstance(v, float) for v in one)
+            assert np.allclose((l, r, q), one, rtol=1e-12, atol=0)
+    lhs, rhs, ratio = additive_ls_check(farey_points(4), np.zeros((3, 10)))
+    assert not lhs.any() and not rhs.any() and not ratio.any()
+
+
+def per_denominator_dual_energy(points, b, M, N):
+    """The interval energy with one N-length gather per denominator, as before the run fold.
+
+    Exponents a (n mod q) mod q are reduced in integers, n mod q from M mod q
+    taken as a Python int; floats with binary denominators of 2^31 or more
+    are evaluated as t * n with int64 n.
+    """
+    values = np.zeros(N, dtype=complex)
+    groups = {}
+    for j, t in enumerate(points.points):
+        groups.setdefault(Fraction(t).denominator, []).append(j)
+    for q, rows in groups.items():
+        if q < 1 << 31:
+            a = np.array([Fraction(points.points[j]).numerator % q for j in rows], dtype=np.int64)
+            n_mod_q = (M % q + np.arange(N, dtype=np.int64)) % q
+            phase = np.exp(2j * np.pi * (a[:, None] * n_mod_q % q) / q)
+        else:
+            theta = np.array([float(points.points[j]) for j in rows])
+            phase = np.exp(2j * np.pi * np.outer(theta, np.arange(M, M + N)))
+        values += np.asarray(b)[rows] @ phase
+    return float(np.sum(np.abs(values) ** 2))
+
+
+def _dual_route_case(kind, params, z):
+    form = build_problem(kind, params).omega_form(z)
+    points, b = dual_b_values(optimal_lambda(z, form.residues, validate=False), form.residues)
+    return SeparatedPoints(tuple(points)), b, form.M, form.N
+
+
+def test_folded_dual_matches_per_denominator_gathers():
+    rng = np.random.default_rng(13)
+    cases = [
+        _dual_route_case("twin", {"x": 20000}, 45),  # 444 points, runs past 2^18 restart
+        _dual_route_case("goldbach", {"N": 10030}, 30),
+        _dual_route_case("interval", {"x": 10**30, "y": 1000}, 10),  # M near 10^30
+        _dual_route_case("interval", {"x": 10**30, "y": 5}, 10),  # q >= N past 2^63
+    ]
+    for Q, M, N in ((10, 0, 40), (12, -1000, 257), (23, 5, 7), (40, -37, 1)):  # M = 0, negative M, q >= N
+        pts = farey_points(Q)
+        cases.append((pts, rng.normal(size=len(pts.points)) + 1j * rng.normal(size=len(pts.points)), M, N))
+    floats = SeparatedPoints((0.1, 0.25, 0.6180339887, 0.75), 0.1)
+    cases.append((floats, rng.normal(size=4) + 1j * rng.normal(size=4), -12, 500))
+    for pts, b, M, N in cases:
+        lhs, rhs, ratio = dual_ls_check(pts, b, M, N)
+        want = per_denominator_dual_energy(pts, b, M, N)
+        assert lhs == pytest.approx(want, rel=1e-12), (len(pts.points), M, N)
+        assert ratio <= 1 + 1e-12
+
+
+def test_dual_runs_stay_within_the_lookup_modulus(monkeypatch):
+    # a run never tiles past 2^18 entries, so its table stays within 4 MB
+    widths = []
+    tile = np.tile
+
+    def recording(a, reps):
+        out = tile(a, reps)
+        widths.append(out.shape[-1])
+        return out
+
+    monkeypatch.setattr(largesieve.np, "tile", recording)
+    pts, b, M, N = _dual_route_case("twin", {"x": 20000}, 45)
+    dual_ls_check(pts, b, M, N)
+    assert widths and max(widths) <= 1 << 18
 
 
 def test_dual_random_trials():

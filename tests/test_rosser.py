@@ -430,13 +430,25 @@ def test_parity_extremal_profile_budget():
 @pytest.mark.parametrize("z", [54, 60])
 def test_parity_extremal_sigma_terms_above_window_match_oracle_calls(z):
     # above z = 53 the sigma terms come from the profile over every prime below z;
-    # the reference sends each one through the problem's own sift_count
+    # the reference enumerates each term |S(A_d, p(d))| from the values: one
+    # divisibility mask per prime, made once per r, ANDed per term
     x = 10**6
     for r in (0, 1):
         prob = build_problem("parity", {"x": x, "r": r})
+        vals = prob.values()
+        divisible = {p: vals % p == 0 for p in small_primes(z)}
+        rough, free = {}, np.ones(len(vals), dtype=bool)  # rough[p]: no prime below p divides the value
+        for p in small_primes(z):
+            rough[p] = free.copy()
+            free &= ~divisible[p]
         weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
-        walk = weight_walk(small_primes(z), weights)
-        want = sum(prob.sift_count(f[-1], f) for tag, _, f, _ in walk if tag == "sigma")
+        want = 0
+        for tag, _, f, _ in weight_walk(small_primes(z), weights):
+            if tag == "sigma":
+                keep = rough[f[-1]].copy()
+                for p in f:
+                    keep &= divisible[p]
+                want += int(np.count_nonzero(keep))
         rep = parity_extremal(x, z, r)
         assert rep.sigma_sum == want > 0, (z, r)
         assert rep.full_identity_exact

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sievekit.arith import small_primes
+from sievekit.arith import divisors, prime_factors, small_primes
 from sievekit.problem import OmegaForm, ResidueSystem, build_problem, exact_sift
 from sievekit.selberg import (
     G_sum,
     H_factor,
     LambdaWeights,
+    _true_remainder,
     dual_b_values,
     dual_coefficient_sum,
     invert_xi,
@@ -220,6 +222,14 @@ def test_bounds_above_profile_window_sift_every_prime():
         assert rep.bound >= exact
 
 
+def test_linnik_past_2_63_with_denominators_above_the_length():
+    # interval [10^30 - 4, 10^30]: the Farey denominators 5 and 7 reach past N = 5
+    prob = build_problem("interval", {"x": 10**30, "y": 5})
+    rep = linnik_bound(prob, 10)
+    assert rep.exact == exact_sift(prob, 10) == 1
+    assert rep.verdict == "valid"
+
+
 def test_short_interval_prime_bound():
     # primes in (x-y, x]: the dual-route bound lands within the classical
     # factor-2 shape of y / log y (2.5 absorbs desk-scale drift)
@@ -326,3 +336,107 @@ def test_budget_guard():
     rs = zero_system(10)
     with pytest.raises(BudgetError):
         pseudo_character_matrix(10, rs, 0, 10**6)
+
+
+# -- the Fraction double loops the integer kernels replaced, kept as references --
+
+
+def reference_quadratic_form(weights, residues):
+    """S over every ordered pair in the gcd form |Omega(d1)||Omega(d2)| g / (d1 d2 |Omega(g)|), one Fraction each."""
+    items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
+    dens = {d: Fraction(residues.size_d(prime_factors(d)), d) for d, _ in items}
+    S = Fraction(0)
+    for d1, l1 in items:
+        for d2, l2 in items:
+            g = math.gcd(d1, d2)
+            S += dens[d1] * dens[d2] * Fraction(g, residues.size_d(prime_factors(g))) * l1 * l2
+    return S
+
+
+def reference_true_remainder(form, weights):
+    """Fraction coefficients per lcm, each lcm factored, R_m = |A_m| - |Omega(m)| N / m."""
+    coeff = {}
+    items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
+    for d1, l1 in items:
+        for d2, l2 in items:
+            m = d1 * d2 // math.gcd(d1, d2)
+            coeff[m] = coeff.get(m, 0) + l1 * l2
+    total = Fraction(0)
+    for m, c in coeff.items():
+        fac = prime_factors(m)
+        count = form.residues.count_in_interval(form.M, form.N, fac)
+        total += c * (count - Fraction(form.residues.size_d(fac), m) * form.N)
+    return total
+
+
+def reference_dual_coefficient_sum(weights, residues):
+    """Every ordered pair, every pair of roots, every q | gcd through ramanujan_sum."""
+    items = [(d, lam) for d, lam in weights.values.items() if lam != 0]
+    roots = {d: residues.roots_mod(prime_factors(d)) for d, _ in items}
+    total = Fraction(0)
+    for d1, l1 in items:
+        for d2, l2 in items:
+            qs = divisors(math.gcd(d1, d2))
+            inner = sum(ramanujan_sum(q, h1 - h2) for h1 in roots[d1] for h2 in roots[d2] for q in qs)
+            total += l1 * l2 * Fraction(inner, d1 * d2)
+    return total
+
+
+KERNEL_PROBLEMS = {
+    "interval": {"x": 10**4, "y": 9999},
+    "twin": {"x": 10**4},
+    "goldbach": {"N": 10030},
+    "progression": {"x": 10**4, "k": 7, "l": 3},  # 7 is inert
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_PROBLEMS))
+def test_integer_kernels_equal_fraction_loops(kind):
+    # on both sides of the profile window (z = 53), with optimal and with perturbed weights
+    prob = build_problem(kind, KERNEL_PROBLEMS[kind])
+    for z in (2, 15, 45, 53, 54, 60):
+        form = prob.omega_form(z)
+        w = optimal_lambda(z, form.residues, validate=False)
+        S = quadratic_form(w, form.residues, check_diagonal=False)
+        assert S == reference_quadratic_form(w, form.residues) == 1 / w.G, (kind, z)
+        assert _true_remainder(form, w) == reference_true_remainder(form, w), (kind, z)
+        assert dual_coefficient_sum(w, form.residues) == reference_dual_coefficient_sum(w, form.residues) == S
+        bumped = {d: lam * Fraction(9, 10) if d > 1 else lam for d, lam in w.values.items()}
+        wb = LambdaWeights(z=z, values=bumped, G=w.G)
+        Sb = quadratic_form(wb, form.residues, check_diagonal=False)
+        assert Sb == reference_quadratic_form(wb, form.residues) == dual_coefficient_sum(wb, form.residues)
+        assert _true_remainder(form, wb) == reference_true_remainder(form, wb), (kind, z)
+
+
+def test_selberg_remainder_at_z100_equals_fraction_loop():
+    prob = build_problem("twin", {"x": 10**4})
+    form = prob.omega_form(100)
+    w = optimal_lambda(100, form.residues, validate=False)
+    rem = reference_true_remainder(form, w)
+    assert _true_remainder(form, w) == rem
+    rep = selberg_upper_bound(prob, 100)
+    assert rep.remainder_bound == float(rem) and rep.bound == float(Fraction(form.N) / w.G + rem)
+
+
+@st.composite
+def residue_systems(draw):
+    z = draw(st.integers(2, 40))
+    classes = {}
+    for p in small_primes(z):
+        size = draw(st.integers(0, min(p - 1, 3)))
+        classes[p] = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=size, max_size=size))))
+    return z, ResidueSystem(classes)
+
+
+@given(residue_systems(), st.integers(-10**6, 10**30), st.integers(1, 3000), st.data())
+@settings(max_examples=40, deadline=None)
+def test_integer_kernels_on_random_residue_systems(zrs, M, N, data):
+    z, rs = zrs
+    w = optimal_lambda(z, rs, validate=False)
+    vals = {d: Fraction(data.draw(st.integers(-100, 100)), 100) if d > 1 else Fraction(1) for d in w.values}
+    for weights in (w, LambdaWeights(z=z, values=vals, G=w.G)):
+        S = quadratic_form(weights, rs, check_diagonal=False)
+        assert S == reference_quadratic_form(weights, rs) == dual_coefficient_sum(weights, rs)
+        assert S == reference_dual_coefficient_sum(weights, rs)
+        form = OmegaForm(M, N, rs)
+        assert _true_remainder(form, weights) == reference_true_remainder(form, weights)
