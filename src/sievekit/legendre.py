@@ -39,20 +39,18 @@ def density_product(density: SiftingDensity, z: int) -> Fraction:
     return out
 
 
-def _density_factor(density: SiftingDensity, p: int) -> float:
-    """float(1 - omega(p)/p) as one int division, which is correctly rounded."""
-    w = density.omega(p)
-    pb = p * w.denominator
-    return (pb - w.numerator) / pb
-
-
 def density_product_float(density: SiftingDensity, z: int) -> float:
-    """Float-precision V(z, omega) for asymptotic comparisons at large z."""
+    """Float-precision V(z, omega) for asymptotic comparisons at large z.
+
+    Each factor float(1 - omega(p)/p) is one int division, which is correctly rounded.
+    """
     if z < 2:
         raise ValueError("z must be >= 2")
     out = 1.0
     for p in small_primes(z):
-        out *= _density_factor(density, p)
+        w = density.omega(p)
+        pb = p * w.denominator
+        out *= (pb - w.numerator) / pb
     return out
 
 
@@ -85,12 +83,7 @@ def dimension_fit(density: SiftingDensity, z1: int, z2: int) -> float:
         raise ValueError("need 2 < z1 < z2")
     fit = density._fits.get((z1, z2))
     if fit is None:
-        # one prefix pass: v1 is the running product after the last prime below z1
-        v1 = v2 = 1.0
-        for p in small_primes(z2):
-            v2 *= _density_factor(density, p)
-            if p < z1:
-                v1 = v2
+        v1, v2 = density_product_float(density, z1), density_product_float(density, z2)
         if v1 == v2:
             fit = 0.0
         elif v2 == 0:

@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .arith import BudgetError, PrimeTable, factorize, li, prime_factors, primes_up_to_simple, small_primes
+from .arith import BudgetError, PrimeTable, factor_squarefree, li, primes_up_to_simple, small_primes
 
 KINDS = ("interval", "twin", "goldbach", "shifted_prime", "progression", "parity", "custom")
 
@@ -178,20 +178,17 @@ class OmegaForm:
                     buf[(r - start) % p :: p] |= bit
             yield buf
 
-    def _survivor_blocks(self, z: int, d_primes=()):
-        """Block masks of the indices lying in a class mod every p | d and in none mod p < z."""
-        marks = [(p, 1) for p in self.residues.primes() if p < z]
-        marks += [(p, 2 << j) for j, p in enumerate(d_primes)]
-        want = (2 << len(d_primes)) - 2
-        for buf in self._marked_blocks(marks, len(d_primes) + 1):
-            yield buf == want
+    def _survivor_blocks(self, z: int):
+        """Block masks of the indices lying in no class mod a prime p < z."""
+        for buf in self._marked_blocks([(p, 1) for p in self.residues.primes() if p < z], 1):
+            yield buf == 0
 
     def survivor_mask(self, z: int) -> np.ndarray:
         return np.concatenate([np.ones(0, dtype=bool), *self._survivor_blocks(z)])
 
-    def sift_count(self, z: int, d_primes=()) -> int:
-        """#{n in [M, M+N) : n in Omega(p) for every p | d, n in no Omega(p) with p < z}."""
-        return sum(int(np.count_nonzero(keep)) for keep in self._survivor_blocks(z, d_primes))
+    def sift_count(self, z: int) -> int:
+        """#{n in [M, M+N) : n in no Omega(p) with p < z}."""
+        return sum(int(np.count_nonzero(keep)) for keep in self._survivor_blocks(z))
 
     def histogram(self, primes: tuple[int, ...]) -> np.ndarray:
         """Counts of indices by the set of ``primes`` whose classes hold them (bit i for primes[i])."""
@@ -246,7 +243,7 @@ class _Profile:
         self.index = {p: i for i, p in enumerate(primes)}
         self.hist = hist
         self._superset = self._superset_sum(self.hist)
-        self._sifted: dict[int, np.ndarray] = {}
+        self._sifted: dict[int, np.ndarray] = {0: self._superset}  # sifted by no prime: the superset table itself
 
     @staticmethod
     def _superset_sum(hist: np.ndarray) -> np.ndarray:
@@ -407,11 +404,12 @@ class SieveProblem:
         """|A_d|: elements whose value is divisible by squarefree d.
 
         ``d_primes`` are the primes of d when the caller already holds them
-        (a divisor walk does); otherwise d is factored here.  An affine kind
-        counts the indices lying in Omega(p) for every p | d by CRT.
+        (a divisor walk does); otherwise d is factored here, and a d that is
+        not squarefree raises ValueError.  An affine kind counts the indices
+        lying in Omega(p) for every p | d by CRT.
         """
         if d_primes is None:
-            d_primes = prime_factors(d)
+            d_primes = factor_squarefree(d).prime_factors
         if self._omega_interval is not None:
             M, N = self._omega_interval
             return self._residues_below(max(d_primes, default=2) + 1).count_in_interval(M, N, d_primes)
@@ -419,25 +417,6 @@ class SieveProblem:
         if d > 2**63:  # above every int64 |value|, so only 0 is a multiple
             return int(np.count_nonzero(vals == 0))
         return int(np.count_nonzero(vals % d == 0))
-
-    def sift_count(self, z: int, d_primes=()) -> int:
-        """Exact #{a in A : d | a, gcd(a, P(z)) = 1}, the oracle count.
-
-        A prime of d lying below z empties the set (every element of the
-        class is divisible by it); callers in the iteration identities only
-        pass classes whose primes sit at or above the sifting window.
-        """
-        if z <= _PROFILE_Z and all(p < _PROFILE_Z for p in d_primes):
-            return self.profile().sift_count(z, d_primes)
-        if self._omega_interval is not None:
-            return self.omega_form(max([z, *d_primes]) + 1).sift_count(z, d_primes)
-        vals = self.values()
-        keep = np.ones(len(vals), dtype=bool)
-        for p in d_primes:
-            keep &= vals % p == 0
-        for p in primes_up_to_simple(z).primes:
-            keep &= vals % int(p) != 0
-        return int(np.count_nonzero(keep))
 
     # -- residue-class (Omega) form --------------------------------------
 
@@ -605,10 +584,7 @@ def factor_count_sieve(x: int) -> np.ndarray:
 
 def count_in_class(problem: SieveProblem, d: int) -> tuple[int, Fraction]:
     """(|A_d|, remainder): exact count and its deviation from (omega(d)/d) X."""
-    factors = factorize(d) if d > 1 else []
-    if any(e > 1 for _, e in factors):
-        raise ValueError("d must be squarefree")
-    d_primes = [p for p, _ in factors]
+    d_primes = factor_squarefree(d).prime_factors
     count = problem.count_multiple(d, d_primes)
     main = problem.density.omega_d(d_primes) / d * problem.X
     return count, Fraction(count) - main
@@ -659,10 +635,23 @@ def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = Fa
 
 
 def exact_sift(problem: SieveProblem, z: int) -> int:
-    """Exact survivor count after sifting by every prime below z."""
+    """Exact survivor count after sifting by every prime below z, the oracle count.
+
+    Up to z = 53 it is read off the default window profile; above it an
+    affine kind runs the block residue sieve, and an explicit kind scans
+    its values once per prime below z.
+    """
     if z < 2:
         raise ValueError("z must be >= 2")
-    return problem.sift_count(z)
+    if in_profile_window(z):
+        return problem.profile().sift_count(z)
+    if problem._omega_interval is not None:
+        return problem.omega_form(z).sift_count(z)
+    vals = problem.values()
+    keep = np.ones(len(vals), dtype=bool)
+    for p in small_primes(z):
+        keep &= vals % p != 0
+    return int(np.count_nonzero(keep))
 
 
 def divisor_walk(primes, *, max_nu: int):

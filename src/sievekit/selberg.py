@@ -83,13 +83,8 @@ class LambdaWeights:
         return self.values.get(d, Fraction(0))
 
 
-def optimal_lambda(z: int, residues: ResidueSystem, *, validate: bool = True) -> LambdaWeights:
-    """Closed-form minimizer of the sieve quadratic form, exact rationals.
-
-    ``validate`` re-derives G through the coprime factorization identity for
-    every d (a strong internal consistency check, quadratic in the support
-    size).
-    """
+def optimal_lambda(z: int, residues: ResidueSystem) -> LambdaWeights:
+    """Closed-form minimizer of the sieve quadratic form, exact rationals."""
     qs = _supported_squarefree(z, residues)
     H = {q: H_factor(fac, residues) for q, fac in qs}
     G = sum(H.values(), Fraction(0))
@@ -104,19 +99,6 @@ def optimal_lambda(z: int, residues: ResidueSystem, *, validate: bool = True) ->
             Fraction(0),
         )
         values[d] = mu * lift * tail / G
-        if validate:
-            # G splits over divisors f of d against coprime complements
-            coprime = [(g, H[g]) for g, _ in qs if math.gcd(g, d) == 1]
-            total = Fraction(0)
-            for m in range(1 << len(fac)):
-                f = 1
-                for i, p in enumerate(fac):
-                    if m >> i & 1:
-                        f *= p
-                hf = H_factor([p for i, p in enumerate(fac) if m >> i & 1], residues)
-                total += hf * sum((hg for g, hg in coprime if g * f < z), Fraction(0))
-            if total != G:
-                raise AssertionError(f"factorization identity failed at d={d}")
     return LambdaWeights(z=z, values=values, G=G)
 
 
@@ -146,22 +128,10 @@ def _lcm_terms(weights: LambdaWeights) -> tuple[int, int, list[tuple[list[int], 
     return D, math.prod({p for _, f, _ in rows for p in f}), [(facs[m], m, c) for m, c in coeff.items()]
 
 
-def quadratic_form(weights: LambdaWeights, residues: ResidueSystem, *, check_diagonal: bool = True) -> Fraction:
-    """S = double sum of |Omega(lcm)|/lcm * lambda(d1) lambda(d2), exact: one integer over P D^2.
-
-    With ``check_diagonal`` the diagonalized form is evaluated too and must
-    agree exactly.
-    """
+def quadratic_form(weights: LambdaWeights, residues: ResidueSystem) -> Fraction:
+    """S = double sum of |Omega(lcm)|/lcm * lambda(d1) lambda(d2), exact: one integer over P D^2."""
     D, P, terms = _lcm_terms(weights)
-    S = Fraction(sum(c * residues.size_d(fac) * (P // m) for fac, m, c in terms), P * D * D)
-    if check_diagonal:
-        xi = xi_transform(weights, residues)
-        S_diag = Fraction(0)
-        for f, val in xi.items():
-            S_diag += val * val / H_factor(prime_factors(f), residues)
-        if S_diag != S:
-            raise AssertionError("diagonalized form disagrees with the double sum")
-    return S
+    return Fraction(sum(c * residues.size_d(fac) * (P // m) for fac, m, c in terms), P * D * D)
 
 
 def xi_transform(weights: LambdaWeights, residues: ResidueSystem) -> dict[int, Fraction]:
@@ -194,11 +164,12 @@ def invert_xi(xi: dict[int, Fraction], residues: ResidueSystem, z: int) -> dict[
     return out
 
 
-def _as_form(problem, z: int) -> OmegaForm:
+def _as_form(problem, z: int) -> tuple[str, OmegaForm]:
+    """(report name, residue form at z) of a SieveProblem with a residue form or of an OmegaForm."""
     if isinstance(problem, OmegaForm):
-        return problem
+        return f"interval[{problem.M},{problem.M + problem.N})", problem
     if isinstance(problem, SieveProblem):
-        return problem.omega_form(z)
+        return problem.describe(), problem.omega_form(z)
     raise TypeError("expected a SieveProblem with a residue form or an OmegaForm")
 
 
@@ -223,8 +194,8 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False) -> BoundRe
     bound equals the full square sum over the interval); ``worst_case``
     swaps in the crude (sum |Omega(d)|)^2 estimate.
     """
-    form = _as_form(problem, z)
-    weights = optimal_lambda(z, form.residues, validate=False)
+    desc, form = _as_form(problem, z)
+    weights = optimal_lambda(z, form.residues)
     main = Fraction(form.N) / weights.G
     if worst_case:
         rem = sum(
@@ -235,7 +206,6 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False) -> BoundRe
         rem = _true_remainder(form, weights)
     bound = main + rem
     exact = form.sift_count(z)
-    desc = problem.describe() if isinstance(problem, SieveProblem) else f"interval[{form.M},{form.M + form.N})"
     return BoundReport(
         method="selberg",
         problem=desc,
@@ -303,31 +273,28 @@ def dual_b_values(weights: LambdaWeights, residues: ResidueSystem) -> tuple[list
     return points, np.asarray(values, dtype=complex)
 
 
-def linnik_bound(problem, z: int, *, check_dual: bool = True) -> BoundReport:
+def linnik_bound(problem, z: int) -> BoundReport:
     """(N + z^2)/G bound derived through the dual exponential-sum route.
 
-    With ``check_dual``, verifies (a) the Farey coefficient energy equals
-    the quadratic form exactly, (b) the same numerically through the
-    complex b values, and (c) the interval energy inequality instance of
-    the additive large sieve on this data.
+    Verifies (a) the Farey coefficient energy equals the quadratic form
+    exactly, (b) the same numerically through the complex b values, and
+    (c) the interval energy inequality instance of the additive large
+    sieve on this data.
     """
-    form = _as_form(problem, z)
-    weights = optimal_lambda(z, form.residues, validate=False)
-    S = quadratic_form(weights, form.residues, check_diagonal=False)
+    desc, form = _as_form(problem, z)
+    weights = optimal_lambda(z, form.residues)
+    S = quadratic_form(weights, form.residues)
     if S != 1 / weights.G:
         raise AssertionError("optimal weights missed the quadratic-form minimum")
     exact = form.sift_count(z)
-    if check_dual:
-        dual = dual_coefficient_sum(weights, form.residues)
-        if dual != S:
-            raise AssertionError("dual coefficient energy disagrees with the form")
-        points, b = dual_b_values(weights, form.residues)
-        energy = float(np.sum(np.abs(b) ** 2))
-        if abs(energy - float(S)) > DUAL_ENERGY_RTOL * max(1.0, float(S)):
-            raise AssertionError("complex dual energy drifted from the exact form")
-        _additive_instance_check(form, points, b, exact)
+    if dual_coefficient_sum(weights, form.residues) != S:
+        raise AssertionError("dual coefficient energy disagrees with the form")
+    points, b = dual_b_values(weights, form.residues)
+    energy = float(np.sum(np.abs(b) ** 2))
+    if abs(energy - float(S)) > DUAL_ENERGY_RTOL * max(1.0, float(S)):
+        raise AssertionError("complex dual energy drifted from the exact form")
+    _additive_instance_check(form, points, b, exact)
     bound = (form.N + Fraction(z) ** 2) * S
-    desc = problem.describe() if isinstance(problem, SieveProblem) else f"interval[{form.M},{form.M + form.N})"
     return BoundReport(
         method="linnik",
         problem=desc,
@@ -450,7 +417,7 @@ def pseudo_character_matrix(z: int, residues: ResidueSystem, M: int, N: int) -> 
             row *= np.where(member[p], -1.0 / hp, 1.0)
         rows.append(row)
     matrix = np.vstack(rows) if rows else np.zeros((0, N))
-    weights = optimal_lambda(z, residues, validate=False)
+    weights = optimal_lambda(z, residues)
     _weight_identity_check(weights, residues, qs, H, member, primes)
     return PseudoCharacterMatrix(
         z=z, M=M, N=N, qs=tuple(q for q, _ in qs), matrix=matrix,

@@ -172,7 +172,7 @@ def test_criterion_2_sandwich_suite(suite_problems):
         if trial % 2 == 0:
             rep = selberg_upper_bound(form, z)
         else:
-            rep = linnik_bound(form, z, check_dual=trial % 10 == 1)
+            rep = linnik_bound(form, z)
         violations += 0 if rep.verdict == "valid" else 1
 
     _report("2 sandwich suite", violations == 0, f"violations={violations}")
@@ -196,8 +196,8 @@ def test_criterion_3_quantitative():
             size = rng.randint(1, p - 1) if p <= 5 else rng.randint(1, min(4, p - 1))
             classes[p] = tuple(sorted(rng.sample(range(p), size)))
         rs = ResidueSystem(classes)
-        w = optimal_lambda(z, rs, validate=False)
-        assert quadratic_form(w, rs, check_diagonal=False) == 1 / G_sum(z, rs)
+        w = optimal_lambda(z, rs)
+        assert quadratic_form(w, rs) == 1 / G_sum(z, rs)
         assert all(abs(v) <= 1 for v in w.values.values())
     _report("3 quantitative anchors", True, "linnik 50 vs 33; S = 1/G; |lambda| <= 1")
 

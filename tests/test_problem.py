@@ -222,7 +222,7 @@ def test_sift_count_in_class_oracle():
     vals = prob.values()
     for d_primes, w in [((7,), 7), ((11, 7), 5), ((13,), 13), ((), 11)]:
         d = math.prod(d_primes)
-        assert prob.sift_count(w, d_primes) == brute_sift(vals, w, d)
+        assert prob.profile().sift_count(w, d_primes) == brute_sift(vals, w, d)
 
 
 
@@ -323,11 +323,26 @@ def test_custom_problem():
 
 
 def test_explicit_count_multiple_past_int64():
-    prob = build_problem("custom", {"elements": [0, 5, -(2**62), 2**63 - 1, 0], "X": 5})
+    prob = build_problem("custom", {"elements": [0, 5, -(2**62), 2**63 - 1, 2**63 - 3, 0], "X": 6})
     d = math.prod(small_primes(62)[4:])  # 11 * 13 * ... * 61
     assert d > 2**63
     assert prob.count_multiple(d) == 2
-    assert prob.count_multiple(2**63 - 1) == 3
+    # 2^63 - 3 is squarefree; its primes are given, as factoring it by trial division takes seconds
+    assert prob.count_multiple(2**63 - 3, (5, 23, 53301701, 1504703107)) == 3
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("interval", {"x": 100, "y": 100}), ("twin", {"x": 100}), ("goldbach", {"N": 100}),
+    ("progression", {"x": 100, "k": 3, "l": 1}), ("parity", {"x": 100, "r": 0}),
+    ("shifted_prime", {"x": 100}), ("custom", {"elements": list(range(1, 101))}),
+])
+def test_count_multiple_refuses_a_square_divisor(kind, params, table):
+    # |A_4| is not |A_2|: a d that count_multiple factors itself must be squarefree
+    prob = build_problem(kind, params, table=table)
+    for d in (4, 12, 2**63 - 1):  # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657
+        with pytest.raises(ValueError, match="not squarefree"):
+            prob.count_multiple(d)
+    assert prob.count_multiple(6) == int(np.count_nonzero(prob.values() % 6 == 0))
 
 
 # -- value profile kernel --------------------------------------------------------

@@ -104,8 +104,8 @@ def _affine_problem(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_block_sieve_matches_value_divisibility(data):
-    # blocks of 1, 7 or 64 split the index range; z straddles the profile
-    # window _PROFILE_Z = 53, past which counts leave the bit-profile
+    # blocks of 1, 7 or 64 split the index range; z and the primes of d straddle
+    # the profile window _PROFILE_Z = 53, past which profiles are built by the block sieve
     block = data.draw(st.sampled_from((1, 7, 64)))
     z = data.draw(st.integers(2, 70))
     d_primes = tuple(data.draw(st.lists(st.sampled_from(small_primes(72)), max_size=3, unique=True)))
@@ -114,7 +114,7 @@ def test_block_sieve_matches_value_divisibility(data):
         vals = prob.values()
         sifting = small_primes(z)
         scan = [all(v % p == 0 for p in d_primes) and all(v % p for p in sifting) for v in vals.tolist()]
-        assert prob.sift_count(z, d_primes) == sum(scan)
+        assert prob.profile(tuple(sorted({*sifting, *d_primes}))).sift_count(z, d_primes) == sum(scan)
         assert np.array_equal(prob.profile().hist, _value_histogram(vals, small_primes(_PROFILE_Z)))
         in_window = [p for p in d_primes if p < _PROFILE_Z]
         assert prob.profile().count_multiple(in_window) == sum(all(v % p == 0 for p in in_window) for v in vals.tolist())
@@ -122,3 +122,4 @@ def test_block_sieve_matches_value_divisibility(data):
         for p in sifting:
             keep &= vals % p != 0
         assert np.array_equal(prob.omega_form(z).survivor_mask(z), keep)
+        assert exact_sift(prob, z) == int(np.count_nonzero(keep))

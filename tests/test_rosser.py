@@ -3,6 +3,7 @@ import math
 import weakref
 from dataclasses import fields
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -199,19 +200,39 @@ def test_truncation_inequalities():
         truncation_inequality_check(100.0, 2.0, 0, 20)
 
 
+@lru_cache(maxsize=1)
+def _divisibility(problem):
+    """Per prime below 64, which element values it divides, and the values free of every smaller prime."""
+    vals = problem.values()
+    divisible, rough, free = {}, {}, np.ones(len(vals), dtype=bool)
+    for p in small_primes(64):
+        divisible[p], rough[p] = vals % p == 0, free.copy()
+        free &= ~divisible[p]
+    return divisible, rough
+
+
+def reference_sift_count(problem, w, d_primes):
+    """|S(A_d, w)|, w a prime below 64, from the values: the masks of the primes of d ANDed with the w-rough ones."""
+    divisible, rough = _divisibility(problem)
+    keep = rough[w].copy()
+    for p in d_primes:
+        keep &= divisible[p]
+    return int(np.count_nonzero(keep))
+
+
 def reference_buchstab_check(problem, z0, z):
-    """The per-item Buchstab check: every count is its own oracle call."""
+    """The per-item Buchstab check: every count is its own scan of the values."""
     lhs = exact_sift(problem, z)
     total = exact_sift(problem, z0)
     drops = {}
     for p in problem.sifting_primes(z, z0):
-        drops[p] = problem.sift_count(p, (p,))
+        drops[p] = reference_sift_count(problem, p, (p,))
         total -= drops[p]
     return IdentityReport(lhs, total, lhs == total, {"drops": drops})
 
 
 def reference_rosser_identity(problem, z0, z, weights):
-    """The per-item Rosser identity: one oracle call and one Fraction density term per walk item."""
+    """The per-item Rosser identity: one scan of the values and one Fraction density term per walk item."""
     primes = problem.sifting_primes(z, z0)
     lhs = exact_sift(problem, z)
     rho_sum = sigma_sum = 0
@@ -220,10 +241,10 @@ def reference_rosser_identity(problem, z0, z, weights):
     for tag, d, factors, mu in weight_walk(primes, weights):
         w_d = dens.omega_d(factors)
         if tag == "rho":
-            rho_sum += mu * problem.sift_count(z0, factors)
+            rho_sum += mu * reference_sift_count(problem, z0, factors)
             v0 += mu * w_d / d
         else:
-            sigma_sum += problem.sift_count(factors[-1], factors)
+            sigma_sum += reference_sift_count(problem, factors[-1], factors)
             v_sigma += w_d / d * density_product(dens, factors[-1])
     sign = (-1) ** weights.r
     v_lhs = density_product(dens, z)
@@ -260,6 +281,15 @@ def test_identities_read_off_profile_match_per_item_references(kind, table):
                     rep = rosser_identity(prob, z0, z, w)
                     assert repr(rep) == repr(reference_rosser_identity(prob, z0, z, w)), (z0, z, D, r)
                     assert rep.holds and rep.detail["v_identity_holds"]
+
+
+def test_counts_sifted_by_no_prime_read_the_superset_table():
+    # w <= 2 sifts by no prime, so every rho term at z0 = 2 reads the profile's own superset table
+    prob = build_problem("twin", {"x": 2 * 10**4})
+    assert rosser_identity(prob, 2, 60, RosserWeightTable(D=1e6, beta=2.0, r=1)).holds
+    assert buchstab_check(prob, 2, 60).holds
+    prof = prob.profile_below(60)
+    assert prof._sifted[0] is prof._superset
 
 
 def test_identities_refuse_a_profile_past_25_primes():

@@ -43,6 +43,21 @@ def random_system(rng, z):
     return ResidueSystem(classes)
 
 
+def check_G_splitting(weights, residues):
+    """G splits over each support d: G = sum over f | d of H(f) times the H(g) of g coprime to d with g f < z."""
+    H = {q: H_factor(prime_factors(q), residues) for q in weights.values}
+    for d in weights.values:
+        coprime = [(g, hg) for g, hg in H.items() if math.gcd(g, d) == 1]
+        total = sum(H[f] * sum(hg for g, hg in coprime if g * f < weights.z) for f in divisors(d))
+        assert total == weights.G, d
+
+
+def check_diagonal_form(weights, residues):
+    """The diagonalized form (Halberstam-Richert, ch. 3): sum of xi(f)^2 / H(f) equals S."""
+    xi = xi_transform(weights, residues)
+    assert sum(v * v / H_factor(prime_factors(f), residues) for f, v in xi.items()) == quadratic_form(weights, residues)
+
+
 def test_H_factor_examples():
     rs = zero_system(10)
     assert H_factor((), rs) == 1
@@ -68,6 +83,8 @@ def test_optimal_lambda_examples():
     w10 = optimal_lambda(10, rs)
     assert w10.values[1] == 1
     assert all(abs(v) <= 1 for v in w10.values.values())
+    for weights in (w, w2, w10):
+        check_G_splitting(weights, rs)
 
 
 def test_lambda_bounded_at_half_density():
@@ -77,16 +94,22 @@ def test_lambda_bounded_at_half_density():
         classes = {p: tuple(sorted(rng.sample(range(p), max(1, p // 2)))) for p in small_primes(z)}
         w = optimal_lambda(z, ResidueSystem(classes))
         assert all(abs(v) <= 1 for v in w.values.values())
+        check_G_splitting(w, ResidueSystem(classes))
 
 
 def test_quadratic_form_is_reciprocal_G():
     rs = zero_system(10)
-    assert quadratic_form(optimal_lambda(2, rs), rs) == 1
+    w2 = optimal_lambda(2, rs)
+    assert quadratic_form(w2, rs) == 1
     w3 = optimal_lambda(3, rs)
     assert quadratic_form(w3, rs) == Fraction(1, 2) == 1 / G_sum(3, rs)
+    for weights in (w2, w3):
+        check_G_splitting(weights, rs)
+        check_diagonal_form(weights, rs)
     for z in (5, 10, 17, 30):
-        w = optimal_lambda(z, rs, validate=False)
+        w = optimal_lambda(z, rs)
         assert quadratic_form(w, rs) == 1 / G_sum(z, rs)
+        check_diagonal_form(w, rs)
 
 
 def test_quadratic_form_random_systems():
@@ -94,19 +117,21 @@ def test_quadratic_form_random_systems():
     for trial in range(10):
         z = rng.choice([8, 12, 20, 30])
         rs = random_system(rng, z)
-        w = optimal_lambda(z, rs, validate=True)
+        w = optimal_lambda(z, rs)
         assert quadratic_form(w, rs) == 1 / G_sum(z, rs)
+        check_G_splitting(w, rs)
+        check_diagonal_form(w, rs)
 
 
 def test_perturbed_weights_increase_form():
     rs = zero_system(10)
     w = optimal_lambda(10, rs)
+    check_G_splitting(w, rs)
+    check_diagonal_form(w, rs)
     S_opt = quadratic_form(w, rs)
     bumped = dict(w.values)
     bumped[2] += Fraction(1, 10)
-    S_pert = quadratic_form(
-        LambdaWeights(z=10, values=bumped, G=w.G), rs, check_diagonal=False
-    )
+    S_pert = quadratic_form(LambdaWeights(z=10, values=bumped, G=w.G), rs)
     assert S_pert > S_opt
 
 
@@ -115,24 +140,26 @@ def test_minimality_against_random_admissible():
     for z in (6, 12, 20):
         rs = zero_system(z)
         w = optimal_lambda(z, rs)
-        S_opt = quadratic_form(w, rs, check_diagonal=False)
+        check_G_splitting(w, rs)
+        S_opt = quadratic_form(w, rs)
         support = sorted(w.values)
         for _ in range(100):
             vals = {d: Fraction(rng.randint(-100, 100), 100) for d in support}
             vals[1] = Fraction(1)
-            S = quadratic_form(LambdaWeights(z=z, values=vals, G=w.G), rs, check_diagonal=False)
+            S = quadratic_form(LambdaWeights(z=z, values=vals, G=w.G), rs)
             assert S >= S_opt
 
 
 def test_xi_transform_closed_form():
     rs = zero_system(10)
     w = optimal_lambda(3, rs)
+    check_G_splitting(w, rs)
     xi = xi_transform(w, rs)
     assert xi[1] == Fraction(1, 2) == 1 / w.G
     # optimal xi(f) = mu(f) H(f) / G
     assert xi[2] == -H_factor((2,), rs) / w.G
     for z in (5, 10, 20):
-        w = optimal_lambda(z, rs, validate=False)
+        w = optimal_lambda(z, rs)
         xi = xi_transform(w, rs)
         for f in xi:
             fac = tuple(p for p in small_primes(z) if f % p == 0)
@@ -142,7 +169,7 @@ def test_xi_transform_closed_form():
 def test_xi_round_trip_random():
     rng = random.Random(5)
     rs = twin_system(20)
-    w0 = optimal_lambda(20, rs, validate=False)
+    w0 = optimal_lambda(20, rs)
     support = sorted(w0.values)
     for _ in range(20):
         vals = {d: Fraction(rng.randint(-50, 50), 50) for d in support}
@@ -243,7 +270,7 @@ def test_short_interval_prime_bound():
     z = int(math.sqrt(y / math.log(y)))
     rs = ResidueSystem({p: (0,) for p in small_primes(z)})
     form = OmegaForm(x - y + 1, y, rs)
-    rep = linnik_bound(form, z, check_dual=False)
+    rep = linnik_bound(form, z)
     assert rep.bound + z >= exact
     ratio = (rep.bound + z) / (y / math.log(y))
     assert ratio <= 2.5
@@ -254,8 +281,8 @@ def test_dual_sum_matches_form_random():
     for z in (6, 10, 15, 20):
         for _ in range(3):
             rs = random_system(rng, z)
-            w = optimal_lambda(z, rs, validate=False)
-            S = quadratic_form(w, rs, check_diagonal=False)
+            w = optimal_lambda(z, rs)
+            S = quadratic_form(w, rs)
             assert dual_coefficient_sum(w, rs) == S
             _, b = dual_b_values(w, rs)
             assert float(np.sum(np.abs(b) ** 2)) == pytest.approx(float(S), rel=1e-9)
@@ -396,14 +423,14 @@ def test_integer_kernels_equal_fraction_loops(kind):
     prob = build_problem(kind, KERNEL_PROBLEMS[kind])
     for z in (2, 15, 45, 53, 54, 60):
         form = prob.omega_form(z)
-        w = optimal_lambda(z, form.residues, validate=False)
-        S = quadratic_form(w, form.residues, check_diagonal=False)
+        w = optimal_lambda(z, form.residues)
+        S = quadratic_form(w, form.residues)
         assert S == reference_quadratic_form(w, form.residues) == 1 / w.G, (kind, z)
         assert _true_remainder(form, w) == reference_true_remainder(form, w), (kind, z)
         assert dual_coefficient_sum(w, form.residues) == reference_dual_coefficient_sum(w, form.residues) == S
         bumped = {d: lam * Fraction(9, 10) if d > 1 else lam for d, lam in w.values.items()}
         wb = LambdaWeights(z=z, values=bumped, G=w.G)
-        Sb = quadratic_form(wb, form.residues, check_diagonal=False)
+        Sb = quadratic_form(wb, form.residues)
         assert Sb == reference_quadratic_form(wb, form.residues) == dual_coefficient_sum(wb, form.residues)
         assert _true_remainder(form, wb) == reference_true_remainder(form, wb), (kind, z)
 
@@ -411,7 +438,7 @@ def test_integer_kernels_equal_fraction_loops(kind):
 def test_selberg_remainder_at_z100_equals_fraction_loop():
     prob = build_problem("twin", {"x": 10**4})
     form = prob.omega_form(100)
-    w = optimal_lambda(100, form.residues, validate=False)
+    w = optimal_lambda(100, form.residues)
     rem = reference_true_remainder(form, w)
     assert _true_remainder(form, w) == rem
     rep = selberg_upper_bound(prob, 100)
@@ -432,10 +459,10 @@ def residue_systems(draw):
 @settings(max_examples=40, deadline=None)
 def test_integer_kernels_on_random_residue_systems(zrs, M, N, data):
     z, rs = zrs
-    w = optimal_lambda(z, rs, validate=False)
+    w = optimal_lambda(z, rs)
     vals = {d: Fraction(data.draw(st.integers(-100, 100)), 100) if d > 1 else Fraction(1) for d in w.values}
     for weights in (w, LambdaWeights(z=z, values=vals, G=w.G)):
-        S = quadratic_form(weights, rs, check_diagonal=False)
+        S = quadratic_form(weights, rs)
         assert S == reference_quadratic_form(weights, rs) == dual_coefficient_sum(weights, rs)
         assert S == reference_dual_coefficient_sum(weights, rs)
         form = OmegaForm(M, N, rs)
