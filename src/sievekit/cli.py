@@ -1,9 +1,9 @@
 """Command-line front end: oracle runs, bound sweeps, verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 bad config/arguments,
-3 budget exceeded.  All randomized checks honor --seed (default 0) and all
-emitted numbers carry 15 significant digits, so reports are reproducible
-byte for byte.
+3 budget exceeded.  ``lsieve`` draws its random checks from --seed (default
+0), ``verify`` from a fixed seed, and all emitted numbers carry 15
+significant digits, so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -323,7 +323,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub_parser("verify", help="run the invariant suite")
     p.add_argument("--suite", default="all", choices=("all",))
     p.add_argument("--budget", default="small", choices=("small", "full"))
-    add_common(p)
     p.set_defaults(func=cmd_verify)
     if config:
         for sp in [parser] + subparsers:

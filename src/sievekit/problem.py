@@ -110,9 +110,6 @@ class ResidueSystem:
     def size(self, p: int) -> int:
         return len(self.classes.get(p, ()))
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.classes))
-
     def supported(self, p: int) -> bool:
         return self.size(p) > 0
 
@@ -180,7 +177,7 @@ class OmegaForm:
 
     def _survivor_blocks(self, z: int):
         """Block masks of the indices lying in no class mod a prime p < z."""
-        for buf in self._marked_blocks([(p, 1) for p in self.residues.primes() if p < z], 1):
+        for buf in self._marked_blocks([(p, 1) for p in small_primes(z) if self.residues.supported(p)], 1):
             yield buf == 0
 
     def survivor_mask(self, z: int) -> np.ndarray:
@@ -298,11 +295,8 @@ class SieveProblem:
         X: Fraction,
         density: SiftingDensity,
         *,
-        lo: int | None = None,
-        hi: int | None = None,
         explicit: np.ndarray | None = None,
-        residues: ResidueSystem | None = None,
-        omega_interval: tuple[int, int] | None = None,
+        form: OmegaForm | None = None,
     ):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
@@ -310,11 +304,7 @@ class SieveProblem:
         self.params = dict(params)
         self.X = _as_fraction(X)
         self.density = density
-        self._lo = lo
-        self._hi = hi
-        self.residues = residues
-        self._omega_interval = omega_interval
-        self._wide: dict[int, ResidueSystem] = {}  # affine classes past _PROFILE_Z, by power-of-two bound
+        self._form = form  # an affine kind's index interval and class rule
         self._values: np.ndarray | None = explicit
         self._profiles: dict[tuple[int, ...], _Profile] = {}
         self._inert: set[int] = set()  # primes with omega(p) = 0 checked to divide no element
@@ -323,9 +313,9 @@ class SieveProblem:
 
     @property
     def size(self) -> int:
-        if self._lo is None:  # explicit elements, or parity's made on first use
+        if self._form is None:  # explicit elements, or parity's made on first use
             return len(self.values())
-        return max(self._hi - self._lo, 0)
+        return self._form.N
 
     def values(self) -> np.ndarray:
         """The element values of A as an int64 array (cached)."""
@@ -336,19 +326,15 @@ class SieveProblem:
         if self._values is None:
             if self.size > ORACLE_ELEMENT_CAP:
                 raise BudgetError(f"{self.size} elements exceed enumeration cap")
-            n = np.arange(self._lo, self._hi, dtype=np.int64)
-            if self.kind in ("interval", "progression"):
-                vals = n
+            t = np.arange(self._form.M, self._form.M + self._form.N, dtype=np.int64)
+            if self.kind == "interval":
+                self._values = t
             elif self.kind == "twin":
-                vals = n * (n + 2)
+                self._values = t * (t + 2)
             elif self.kind == "goldbach":
-                vals = n * (self.params["N"] - n)
-            else:
-                raise AssertionError(self.kind)
-            if self.kind == "progression":
-                k, l = self.params["k"], self.params["l"]
-                vals = vals[vals % k == l % k]
-            self._values = vals
+                self._values = t * (self.params["N"] - t)
+            else:  # progression
+                self._values = self.params["l"] + self.params["k"] * t
         return self._values
 
     def profile(self, primes: tuple[int, ...] | None = None) -> _Profile:
@@ -363,8 +349,8 @@ class SieveProblem:
             raise BudgetError(f"2^{len(primes)} profile entries exceed the enumeration cap")
         prof = self._profiles.get(primes)
         if prof is None:
-            if self._omega_interval is not None:
-                hist = self.omega_form(max(primes, default=1) + 1).histogram(primes)
+            if self._form is not None:
+                hist = self._form.histogram(primes)
             else:
                 hist = _value_histogram(self.values(), primes)
             prof = self._profiles[primes] = _Profile(primes, hist)
@@ -410,9 +396,8 @@ class SieveProblem:
         """
         if d_primes is None:
             d_primes = factor_squarefree(d).prime_factors
-        if self._omega_interval is not None:
-            M, N = self._omega_interval
-            return self._residues_below(max(d_primes, default=2) + 1).count_in_interval(M, N, d_primes)
+        if self._form is not None:
+            return self._form.residues.count_in_interval(self._form.M, self._form.N, d_primes)
         vals = self.values()
         if d > 2**63:  # above every int64 |value|, so only 0 is a multiple
             return int(np.count_nonzero(vals == 0))
@@ -420,32 +405,11 @@ class SieveProblem:
 
     # -- residue-class (Omega) form --------------------------------------
 
-    def omega_form(self, z: int | None = None) -> OmegaForm:
-        """The equivalent interval-plus-residue-classes description.
-
-        The stored residue classes cover the primes below ``_PROFILE_Z``; a
-        larger ``z`` extends them to every prime below z, so sifting at z
-        sees all of its primes.
-        """
-        if self._omega_interval is None:
+    def omega_form(self) -> OmegaForm:
+        """The affine kind's index interval and class rule, valid at every z."""
+        if self._form is None:
             raise ValueError(f"kind {self.kind!r} has no residue-class form")
-        M, N = self._omega_interval
-        return OmegaForm(M, N, self.residues if z is None else self._residues_below(z))
-
-    def _residues_below(self, z: int) -> ResidueSystem:
-        """The kind's classes for at least every prime below z.
-
-        Past ``_PROFILE_Z`` the classes run to the power of two at or above
-        z, built once per such bound and kept, so a divisor walk or a
-        repeated ``omega_form(z)`` call never rebuilds them.
-        """
-        if z <= _PROFILE_Z:
-            return self.residues
-        bound = 1 << (z - 1).bit_length()
-        rs = self._wide.get(bound)
-        if rs is None:
-            rs = self._wide[bound] = _affine_residues(self.kind, self.params, bound)
-        return rs
+        return self._form
 
     # -- serialization ----------------------------------------------------
 
@@ -476,23 +440,28 @@ def _affine_classes(kind: str, params: Mapping, p: int) -> tuple[int, ...]:
     return () if k % p == 0 else ((-l * pow(k, -1, p)) % p,)
 
 
-def _affine_residues(kind: str, params: Mapping, z_max: int) -> ResidueSystem:
-    classes = {p: _affine_classes(kind, params, p) for p in small_primes(z_max)}
-    return ResidueSystem({p: res for p, res in classes.items() if res})
+class _AffineClasses(dict):
+    """Omega(p) by prime p, made by ``_affine_classes`` on first lookup and then kept."""
+
+    def __init__(self, kind: str, params: Mapping):
+        super().__init__()
+        self._kind, self._params = kind, params
+
+    def __missing__(self, p: int) -> tuple[int, ...]:
+        res = self[p] = _affine_classes(self._kind, self._params, p)
+        return res
+
+    def get(self, p: int, default=()) -> tuple[int, ...]:
+        return self[p]
 
 
-def _affine_problem(kind: str, params: dict, X: Fraction, kappa: float, lo: int, hi: int,
-                    omega_interval: tuple[int, int] | None = None) -> SieveProblem:
-    """An affine problem over the values at n in [lo, hi), sifted as the indices of ``omega_interval``.
-
-    ``omega_interval`` (M, N) defaults to the index range [lo, hi) itself.
-    """
+def _affine_problem(kind: str, params: dict, X: Fraction, kappa: float, M: int, N: int) -> SieveProblem:
+    """An affine problem over the indices [M, M+N), its classes given by the kind's rule."""
+    # The density keeps its own calls to the rule: dimension_fit evaluates it
+    # far past any prime the oracle sifts by, and those classes need no keeping.
     dens = SiftingDensity(lambda p: Fraction(len(_affine_classes(kind, params, p))), kappa)
-    return SieveProblem(
-        kind, params, X, dens, lo=lo, hi=hi,
-        residues=_affine_residues(kind, params, _PROFILE_Z),
-        omega_interval=(lo, hi - lo) if omega_interval is None else omega_interval,
-    )
+    form = OmegaForm(M, N, ResidueSystem(_AffineClasses(kind, params)))
+    return SieveProblem(kind, params, X, dens, form=form)
 
 
 def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None) -> SieveProblem:
@@ -507,17 +476,17 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         x, y = int(params["x"]), int(params["y"])
         if not 2 <= y <= x:
             raise ValueError("interval needs 2 <= y <= x")
-        return _affine_problem(kind, {"x": x, "y": y}, Fraction(y), 1.0, x - y + 1, x + 1)
+        return _affine_problem(kind, {"x": x, "y": y}, Fraction(y), 1.0, x - y + 1, y)
     if kind == "twin":
         x = int(params["x"])
         if x < 5:
             raise ValueError("twin needs x >= 5")
-        return _affine_problem(kind, {"x": x}, Fraction(x), 2.0, 1, x - 2)
+        return _affine_problem(kind, {"x": x}, Fraction(x), 2.0, 1, x - 3)
     if kind == "goldbach":
         N = int(params["N"])
         if N < 8 or N % 2:
             raise ValueError("goldbach needs even N >= 8")
-        return _affine_problem(kind, {"N": N}, Fraction(N), 2.0, 3, N - 2)
+        return _affine_problem(kind, {"N": N}, Fraction(N), 2.0, 3, N - 5)
     if kind == "shifted_prime":
         x = int(params["x"])
         if table is None or table.limit < x + 2:
@@ -535,8 +504,8 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         l = l % k if k > 1 else 0
         first = l or k  # the least n >= 1 in the class
         count = (x - 1 - first) // k + 1 if first < x else 0
-        return _affine_problem(kind, {"x": x, "k": k, "l": l}, Fraction(x, k), 1.0, 1, x,
-                               ((first - l) // k if count else 0, count))
+        return _affine_problem(kind, {"x": x, "k": k, "l": l}, Fraction(x, k), 1.0,
+                               (first - l) // k if count else 0, count)
     if kind == "parity":
         x, r = int(params["x"]), int(params["r"])
         if r not in (0, 1):
@@ -645,8 +614,8 @@ def exact_sift(problem: SieveProblem, z: int) -> int:
         raise ValueError("z must be >= 2")
     if in_profile_window(z):
         return problem.profile().sift_count(z)
-    if problem._omega_interval is not None:
-        return problem.omega_form(z).sift_count(z)
+    if problem._form is not None:
+        return problem._form.sift_count(z)
     vals = problem.values()
     keep = np.ones(len(vals), dtype=bool)
     for p in small_primes(z):

@@ -164,12 +164,12 @@ def invert_xi(xi: dict[int, Fraction], residues: ResidueSystem, z: int) -> dict[
     return out
 
 
-def _as_form(problem, z: int) -> tuple[str, OmegaForm]:
-    """(report name, residue form at z) of a SieveProblem with a residue form or of an OmegaForm."""
+def _as_form(problem) -> tuple[str, OmegaForm]:
+    """(report name, residue form) of a SieveProblem with a residue form or of an OmegaForm."""
     if isinstance(problem, OmegaForm):
         return f"interval[{problem.M},{problem.M + problem.N})", problem
     if isinstance(problem, SieveProblem):
-        return problem.describe(), problem.omega_form(z)
+        return problem.describe(), problem.omega_form()
     raise TypeError("expected a SieveProblem with a residue form or an OmegaForm")
 
 
@@ -194,7 +194,7 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False) -> BoundRe
     bound equals the full square sum over the interval); ``worst_case``
     swaps in the crude (sum |Omega(d)|)^2 estimate.
     """
-    desc, form = _as_form(problem, z)
+    desc, form = _as_form(problem)
     weights = optimal_lambda(z, form.residues)
     main = Fraction(form.N) / weights.G
     if worst_case:
@@ -281,7 +281,7 @@ def linnik_bound(problem, z: int) -> BoundReport:
     (c) the interval energy inequality instance of the additive large
     sieve on this data.
     """
-    desc, form = _as_form(problem, z)
+    desc, form = _as_form(problem)
     weights = optimal_lambda(z, form.residues)
     S = quadratic_form(weights, form.residues)
     if S != 1 / weights.G:

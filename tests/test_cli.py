@@ -149,6 +149,15 @@ def test_verify_small(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("option", [["--out", "v.json"], ["--format", "json"], ["--seed", "3"]])
+def test_verify_refuses_output_and_seed_options(option, tmp_path, monkeypatch, capsys):
+    # verify prints text to stdout from a fixed seed; these options would be ignored, so they exit 2
+    monkeypatch.chdir(tmp_path)
+    code, out = run(["verify", "--budget", "small", *option], capsys)
+    assert code == 2 and out == ""
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "interval", "x": "30", "y": "30", "z": [6]}))
@@ -255,3 +264,14 @@ def test_cli_output_matches_golden(capsys, argv, golden, code):
     got_code, out = run(argv, capsys)
     assert got_code == code
     assert out.encode() == (DATA / golden).read_bytes()
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the README's Python block runs as written, so it keeps in step with the API
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == lines[1] == "390"
+    assert "linnik" in lines[2]

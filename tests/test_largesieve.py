@@ -191,7 +191,7 @@ def per_denominator_dual_energy(points, b, M, N):
 
 
 def _dual_route_case(kind, params, z):
-    form = build_problem(kind, params).omega_form(z)
+    form = build_problem(kind, params).omega_form()
     points, b = dual_b_values(optimal_lambda(z, form.residues), form.residues)
     return SeparatedPoints(tuple(points)), b, form.M, form.N
 

@@ -76,10 +76,32 @@ def test_progression_builder():
     prob = build_problem("progression", {"x": 100, "k": 4, "l": 1})
     vals = prob.values()
     assert vals[0] == 1 and vals[-1] == 97 and len(vals) == 25
+    assert prob.size == 25
     assert prob.density.omega(2) == 0
     assert prob.X == 25
     with pytest.raises(ValueError):
         build_problem("progression", {"x": 100, "k": 4, "l": 2})
+
+
+def test_progression_values_are_the_class_below_x():
+    # values() forms l + k t over the index interval; the reference filters 1..x-1 by class
+    for k in range(1, 13):
+        for l in range(k + 1):
+            if k > 1 and math.gcd(k, l) != 1:
+                continue
+            for x in (1, 2, 3, k, k + 1, 2 * k + 5, 100, 101):
+                prob = build_problem("progression", {"x": x, "k": k, "l": l})
+                expected = [n for n in range(1, x) if n % k == l % k]
+                assert list(prob.values()) == expected, (x, k, l)
+                assert prob.size == len(prob.values()), (x, k, l)
+
+
+def test_progression_size_counts_the_class_not_the_range():
+    # 30 000 elements, far below the element cap, though x - 1 is above it
+    prob = build_problem("progression", {"x": 3 * 10**7, "k": 1000, "l": 3})
+    vals = prob.values()
+    assert prob.size == len(vals) == 30000
+    assert vals[0] == 3 and vals[-1] == 3 + 1000 * 29999
 
 
 def test_parity_builder():
@@ -245,7 +267,7 @@ def test_exact_sift_nonincreasing_in_z():
 def test_omega_form_agrees_with_product_form():
     # affine kinds: residue-class sifting of the index interval must count
     # exactly the same survivors as divisibility sifting of the values,
-    # inside the stored residue window (z <= 53) and beyond it
+    # on both sides of the profile window (z = 53)
     for kind, params in [
         ("twin", {"x": 1000}),
         ("goldbach", {"N": 1000}),
@@ -255,7 +277,7 @@ def test_omega_form_agrees_with_product_form():
         prob = build_problem(kind, params)
         vals = prob.values()
         for z in (2, 3, 5, 11, 23, 31, 47, 50, 59, 61):
-            assert prob.omega_form(z).sift_count(z) == brute_sift(vals, z), (kind, z)
+            assert prob.omega_form().sift_count(z) == brute_sift(vals, z), (kind, z)
 
 
 def test_affine_element_cap_raises_before_any_work():
@@ -265,7 +287,7 @@ def test_affine_element_cap_raises_before_any_work():
         with pytest.raises(BudgetError):
             exact_sift(prob, z)
     with pytest.raises(BudgetError):
-        prob.omega_form(60).survivor_mask(60)
+        prob.omega_form().survivor_mask(60)
 
 
 def test_affine_sift_beyond_int64():

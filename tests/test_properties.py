@@ -121,5 +121,5 @@ def test_block_sieve_matches_value_divisibility(data):
         keep = np.ones(len(vals), dtype=bool)
         for p in sifting:
             keep &= vals % p != 0
-        assert np.array_equal(prob.omega_form(z).survivor_mask(z), keep)
+        assert np.array_equal(prob.omega_form().survivor_mask(z), keep)
         assert exact_sift(prob, z) == int(np.count_nonzero(keep))

@@ -240,13 +240,35 @@ def test_linnik_bound_twin_report_pinned():
 
 
 def test_bounds_above_profile_window_sift_every_prime():
-    # the stored residue classes stop at 53; z = 60 must still sift by 53 and 59
+    # above the profile window (z = 53), z = 60 must still sift by 53 and 59
     prob = build_problem("twin", {"x": 10**5})
     exact = exact_sift(prob, 60)
     assert exact == 2371
     for rep in (selberg_upper_bound(prob, 60), linnik_bound(prob, 60)):
         assert rep.exact == exact
         assert rep.bound >= exact
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("interval", {"x": 3000, "y": 2000}),
+    ("twin", {"x": 10**4}),
+    ("goldbach", {"N": 2000}),
+    ("progression", {"x": 10**4, "k": 7, "l": 3}),
+])
+def test_bounds_on_the_omega_form_match_the_problem(kind, params):
+    # the form omega_form() returns holds the classes of every prime, so a
+    # bound on it sifts by every prime below z, on both sides of z = 53
+    prob = build_problem(kind, params)
+    form = prob.omega_form()
+    for z in (15, 47, 53, 54, 60, 100):
+        exact = exact_sift(prob, z)
+        for engine in (selberg_upper_bound, linnik_bound):
+            on_form, on_prob = engine(form, z), engine(prob, z)
+            for field in ("main", "remainder_bound", "bound", "exact"):
+                assert getattr(on_form, field) == getattr(on_prob, field), (kind, z, engine, field)
+            assert on_form.exact == exact, (kind, z, engine)
+    if kind == "twin":
+        assert selberg_upper_bound(form, 60).exact == 232
 
 
 def test_linnik_past_2_63_with_denominators_above_the_length():
@@ -422,7 +444,7 @@ def test_integer_kernels_equal_fraction_loops(kind):
     # on both sides of the profile window (z = 53), with optimal and with perturbed weights
     prob = build_problem(kind, KERNEL_PROBLEMS[kind])
     for z in (2, 15, 45, 53, 54, 60):
-        form = prob.omega_form(z)
+        form = prob.omega_form()
         w = optimal_lambda(z, form.residues)
         S = quadratic_form(w, form.residues)
         assert S == reference_quadratic_form(w, form.residues) == 1 / w.G, (kind, z)
@@ -437,7 +459,7 @@ def test_integer_kernels_equal_fraction_loops(kind):
 
 def test_selberg_remainder_at_z100_equals_fraction_loop():
     prob = build_problem("twin", {"x": 10**4})
-    form = prob.omega_form(100)
+    form = prob.omega_form()
     w = optimal_lambda(100, form.residues)
     rem = reference_true_remainder(form, w)
     assert _true_remainder(form, w) == rem
