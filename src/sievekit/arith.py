@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-DEFAULT_LIMIT_CAP = 10**9
+DEFAULT_LIMIT_CAP = 10**9  # largest prime-table limit
+REMAINDER_WORK_CAP = 10**9  # most (modulus, prime) steps one mean_remainder_sum may take
 _SEGMENT = 1 << 20
 LI_ABS_TOL = 1e-9
 
@@ -90,37 +91,21 @@ class PrimeTable:
         return self.primes[: self.count_below(x)]
 
 
-def _bitmap_simple(limit: int) -> np.ndarray:
-    """Plain (non-segmented) sieve over [0, limit); used as the cross-check reference."""
-    is_prime = np.ones(limit, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit - 1) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return is_prime
-
-
-def primes_up_to_simple(limit: int) -> PrimeTable:
-    """Non-segmented sieve of all primes below ``limit``."""
-    if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64))
-    return PrimeTable(limit, np.flatnonzero(_bitmap_simple(limit)).astype(np.int64))
-
-
-def primes_up_to(limit: int, *, cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
+def primes_up_to(limit: int) -> PrimeTable:
     """All primes in [2, limit), computed by an odd-only segmented sieve.
 
     Entry j of the reused segment buffer stands for the odd number
     lo + 2j; each segment keeps only its primes, and the pieces are joined
     once at the end, so working memory is O(sqrt(limit) + _SEGMENT) beside
-    the result.  Bit-identical to the plain sieve.  Raises
-    :class:`BudgetError` when ``limit`` exceeds ``cap``.
+    the result.  The base primes come from this same sieve one level down
+    (through :func:`small_primes`).  Raises :class:`BudgetError` when
+    ``limit`` exceeds ``DEFAULT_LIMIT_CAP``.
     """
-    if limit > cap:
-        raise BudgetError(f"limit {limit} exceeds configured cap {cap}")
+    if limit > DEFAULT_LIMIT_CAP:
+        raise BudgetError(f"limit {limit} exceeds configured cap {DEFAULT_LIMIT_CAP}")
     if limit < 3:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
-    base = primes_up_to_simple(math.isqrt(limit - 1) + 1).primes[1:].tolist()  # odd primes p, p^2 < limit
+    base = small_primes(math.isqrt(limit - 1) + 1)[1:]  # odd primes p, p^2 < limit
     pieces = [np.array([2], dtype=np.int64)]
     buf = np.empty(_SEGMENT, dtype=bool)
     for lo in range(3, limit, 2 * _SEGMENT):
@@ -143,8 +128,8 @@ def primes_up_to(limit: int, *, cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
 
 @lru_cache(maxsize=64)
 def small_primes(limit: int) -> tuple[int, ...]:
-    """Cached tuple of primes below ``limit`` (intended for small limits)."""
-    return tuple(int(p) for p in primes_up_to_simple(limit).primes)
+    """Cached tuple of the primes below ``limit``, read off :func:`primes_up_to` (intended for small limits)."""
+    return tuple(primes_up_to(limit).primes.tolist())
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -290,7 +275,7 @@ def remainder_E(table: PrimeTable, x: int, k: int, l: int) -> float:
     return count - li(x) / euler_phi(k)
 
 
-def mean_remainder_sum(table: PrimeTable, x: int, Q: int, *, work_cap: int = 10**9) -> float:
+def mean_remainder_sum(table: PrimeTable, x: int, Q: int) -> float:
     """Sum over q < Q of max over residues a coprime to q of |E(x; q, a)|.
 
     Exact given the table; intended as a desk-scale empirical probe of how
@@ -299,8 +284,8 @@ def mean_remainder_sum(table: PrimeTable, x: int, Q: int, *, work_cap: int = 10*
     if Q < 2:
         raise ValueError("Q must be >= 2")
     ps = table.primes_below(x)
-    if Q * (len(ps) + Q) > work_cap:
-        raise BudgetError(f"Q={Q}, x={x} exceeds work cap {work_cap}")
+    if Q * (len(ps) + Q) > REMAINDER_WORK_CAP:
+        raise BudgetError(f"Q={Q}, x={x} exceeds work cap {REMAINDER_WORK_CAP}")
     li_x = li(x)
     total = abs(len(ps) - li_x)  # q = 1: the full sequence, phi(1) = 1
     for q in range(2, Q):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .arith import small_primes
 from .problem import SieveProblem, build_problem, divisor_tally, divisor_walk, exact_sift
-from .reports import BoundReport
+from .reports import BoundReport, field_row
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,7 @@ class TwinPipelineReport:
     tail_bound: float
     shape: float
 
-    def row(self) -> dict:
-        return {
-            "x": self.x, "z": self.z, "ell": self.ell, "bound": self.bound,
-            "exact": self.exact, "ratio": self.ratio,
-            "tail_bound": self.tail_bound, "shape": self.shape,
-        }
+    row = field_row
 
 
 def default_twin_parameters(x: int) -> tuple[float, int]:

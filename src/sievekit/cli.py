@@ -62,7 +62,7 @@ def _int(s) -> int:
     return value.numerator
 
 
-def _problem_from_args(args, *, need_table_to: int | None = None):
+def _problem_from_args(args):
     if not getattr(args, "problem", None):
         raise ValueError("--problem is required (flag or config)")
     params = {}
@@ -73,9 +73,7 @@ def _problem_from_args(args, *, need_table_to: int | None = None):
     table = None
     if args.problem == "shifted_prime":
         table = primes_up_to(params["x"] + 2)
-    elif need_table_to:
-        table = primes_up_to(need_table_to)
-    return build_problem(args.problem, params, table=table), table
+    return build_problem(args.problem, params, table=table)
 
 
 def _emit(rows, args) -> None:
@@ -85,7 +83,7 @@ def _emit(rows, args) -> None:
 
 
 def cmd_sift(args) -> int:
-    problem, _ = _problem_from_args(args)
+    problem = _problem_from_args(args)
     if not args.z:
         raise ValueError("--z is required (flag or config)")
     rows = []
@@ -96,7 +94,7 @@ def cmd_sift(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    problem, _ = _problem_from_args(args)
+    problem = _problem_from_args(args)
     if not args.z or not args.method:
         raise ValueError("--z and --method are required (flag or config)")
     rows = []
@@ -270,7 +268,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
 
     def add_problem(p):
         p.add_argument("--problem",
@@ -294,17 +291,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    choices=("legendre", "brun-pure", "selberg", "linnik", "rosser"))
     p.add_argument("--z", type=_int_list)
     p.add_argument("--D", type=float)
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--parity", type=int, default=1, choices=(0, 1))
+    p.add_argument("--ell", type=_int, default=2)
+    p.add_argument("--parity", type=_int, default=1, choices=(0, 1))
     add_common(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub_parser("lsieve", help="inequality-check summaries")
     p.add_argument("--suite", default="all",
                    choices=("all", "additive", "dual", "hilbert", "multiplicative", "linnik", "duality"))
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--Q", type=int, default=10)
-    p.add_argument("--N", type=int, default=100)
+    p.add_argument("--trials", type=_int, default=100)
+    p.add_argument("--Q", type=_int, default=10)
+    p.add_argument("--N", type=_int, default=100)
+    p.add_argument("--seed", type=_int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_lsieve)
 

@@ -67,9 +67,6 @@ class SeparatedPoints:
         if self.delta is None or self.delta <= 0:
             raise ValueError("delta must be positive")
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(t) for t in self.points])
-
 
 def farey_points(Q: int) -> SeparatedPoints:
     """All reduced fractions a/q with q <= Q in [0, 1), ascending; delta = 1/(Q(Q-1)).

@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .arith import BudgetError, PrimeTable, factor_squarefree, li, primes_up_to_simple, small_primes
+from .arith import BudgetError, PrimeTable, factor_squarefree, li, small_primes
 
 KINDS = ("interval", "twin", "goldbach", "shifted_prime", "progression", "parity", "custom")
 
@@ -135,12 +135,6 @@ class ResidueSystem:
             m *= p
         return roots
 
-    def count_in_interval(self, M: int, N: int, d_primes) -> int:
-        """#{n in [M, M+N) : n in Omega(p) for every p | d}."""
-        m = math.prod(d_primes)
-        hi, lo = M + N - 1, M - 1
-        return sum((hi - r) // m - (lo - r) // m for r in self.roots_mod(d_primes))
-
 
 @dataclass(frozen=True)
 class OmegaForm:
@@ -186,6 +180,12 @@ class OmegaForm:
     def sift_count(self, z: int) -> int:
         """#{n in [M, M+N) : n in no Omega(p) with p < z}."""
         return sum(int(np.count_nonzero(keep)) for keep in self._survivor_blocks(z))
+
+    def count_multiple(self, d_primes) -> int:
+        """#{n in [M, M+N) : n in Omega(p) for every p | d}, by CRT."""
+        m = math.prod(d_primes)
+        hi, lo = self.M + self.N - 1, self.M - 1
+        return sum((hi - r) // m - (lo - r) // m for r in self.residues.roots_mod(d_primes))
 
     def histogram(self, primes: tuple[int, ...]) -> np.ndarray:
         """Counts of indices by the set of ``primes`` whose classes hold them (bit i for primes[i])."""
@@ -397,7 +397,7 @@ class SieveProblem:
         if d_primes is None:
             d_primes = factor_squarefree(d).prime_factors
         if self._form is not None:
-            return self._form.residues.count_in_interval(self._form.M, self._form.N, d_primes)
+            return self._form.count_multiple(d_primes)
         vals = self.values()
         if d > 2**63:  # above every int64 |value|, so only 0 is a multiple
             return int(np.count_nonzero(vals == 0))
@@ -539,8 +539,7 @@ def factor_count_sieve(x: int) -> np.ndarray:
     out = np.zeros(x, dtype=np.uint8)
     if x > 2:
         residual = np.arange(x, dtype=np.int32 if x <= 2**31 else np.int64)
-        for p in primes_up_to_simple(math.isqrt(x - 1) + 1).primes:
-            p = int(p)
+        for p in small_primes(math.isqrt(x - 1) + 1):
             pk = p
             while pk < x:
                 out[pk::pk] += 1

@@ -5,12 +5,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 
 def _num(x) -> float:
     return float(x) if isinstance(x, Fraction) else x
+
+
+def field_row(record) -> dict:
+    """A flat dataclass report as one output row: its fields in declaration order, Fractions as floats."""
+    return {f.name: _num(getattr(record, f.name)) for f in fields(record)}
 
 
 @dataclass
@@ -47,19 +52,11 @@ class BoundReport:
         self.verdict = "valid" if self.margin >= 0 else "violated"
 
     def row(self) -> dict:
-        out = {
-            "method": self.method,
-            "problem": self.problem,
-            "direction": self.direction,
-            "main": self.main,
-            "remainder_bound": self.remainder_bound,
-            "bound": self.bound,
-            "exact": self.exact,
-            "margin": self.margin,
-            "verdict": self.verdict,
-        }
-        for k, v in self.params.items():
-            out[f"param_{k}"] = _num(v) if isinstance(v, Fraction) else v
+        """The fields but ``slack``, with each entry of ``params`` last as its own ``param_*`` column."""
+        out = field_row(self)
+        del out["slack"]
+        for k, v in out.pop("params").items():
+            out[f"param_{k}"] = _num(v)
         return out
 
 

@@ -38,7 +38,7 @@ from .problem import (
     factor_count_sieve,
     in_profile_window,
 )
-from .reports import BoundReport
+from .reports import BoundReport, field_row
 
 EULER = 0.5772156649015329
 TWO_E_EULER = 2 * math.exp(EULER)
@@ -117,15 +117,6 @@ class RosserWeightTable:
         if self._level_ok(value, factors[-1]):
             return 0
         return 1 if self.rho_closed(factors[:-1]) else 0
-
-    def eta_chain(self, factors: tuple[int, ...]) -> tuple[int, int]:
-        """(rho, sigma) via the chain recursion."""
-        return self.rho_chain(factors), self.sigma_chain(factors)
-
-
-def vacuous_weights(r: int) -> RosserWeightTable:
-    """eta identically 1: the weights degenerate to full inclusion-exclusion."""
-    return RosserWeightTable(D=math.inf, beta=2.0, r=r)
 
 
 def weight_walk(primes, weights: RosserWeightTable):
@@ -303,11 +294,6 @@ class SieveFunctionTable:
             for t, a, b in zip(self.taus, self.phi0, self.phi1)
         ]
 
-    def to_csv(self, path: str) -> None:
-        from .reports import write_rows
-
-        write_rows(self.rows(), path, "csv")
-
 
 def solve_sieve_functions(tau_max: float = 10.0, step: float = 1e-3) -> SieveFunctionTable:
     """Integrate the coupled delay system forward from its closed-form seed.
@@ -413,14 +399,7 @@ class ParityExtremalReport:
     full_identity_exact: bool
     ratio: float
 
-    def row(self) -> dict:
-        return {
-            "x": self.x, "z": self.z, "r": self.r, "exact": self.exact,
-            "rho_sum": self.rho_sum, "sigma_sum": self.sigma_sum,
-            "identity_exact": self.identity_exact,
-            "full_identity_exact": self.full_identity_exact,
-            "ratio": self.ratio,
-        }
+    row = field_row
 
 
 @lru_cache(maxsize=2)
@@ -512,15 +491,7 @@ class ChenReport:
     main_shape: float
     ratio: float
 
-    def row(self) -> dict:
-        return {
-            "N": self.N, "left": self.left, "sifted": self.sifted,
-            "small_factor_sum": float(self.small_factor_sum),
-            "triple_sum": float(self.triple_sum), "rhs": float(self.rhs),
-            "inequality_holds": self.inequality_holds,
-            "singular_factor": float(self.singular_factor),
-            "main_shape": self.main_shape, "ratio": self.ratio,
-        }
+    row = field_row
 
 
 @lru_cache(maxsize=1)

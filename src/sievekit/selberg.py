@@ -182,7 +182,7 @@ def _true_remainder(form: OmegaForm, weights: LambdaWeights) -> Fraction:
     D, P, terms = _lcm_terms(weights)
     rs, counted, main = form.residues, 0, 0
     for fac, m, c in terms:
-        counted += c * rs.count_in_interval(form.M, form.N, fac)
+        counted += c * form.count_multiple(fac)
         main += c * rs.size_d(fac) * (P // m)
     return Fraction(counted * P - main * form.N, P * D * D)
 

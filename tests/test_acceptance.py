@@ -219,7 +219,7 @@ def test_criterion_4_large_sieve_trials():
         N = lengths[i % len(lengths)]
         key = (id(pts), N)
         if key not in phase_cache:
-            theta = pts.as_floats()
+            theta = np.array(pts.points, dtype=float)
             phase_cache[key] = np.exp(2j * np.pi * np.outer(theta, np.arange(N)))
         E = phase_cache[key]
         a = rng.normal(size=N) + 1j * rng.normal(size=N)
@@ -232,7 +232,7 @@ def test_criterion_4_large_sieve_trials():
         N = lengths[i % (len(lengths) - 1)]
         key = (id(pts), N)
         if key not in phase_cache:
-            theta = pts.as_floats()
+            theta = np.array(pts.points, dtype=float)
             phase_cache[key] = np.exp(2j * np.pi * np.outer(theta, np.arange(N)))
         E = phase_cache[key]
         b = rng.normal(size=E.shape[0]) + 1j * rng.normal(size=E.shape[0])

@@ -19,10 +19,12 @@ from sievekit.arith import (
     mobius,
     pi_count,
     primes_up_to,
-    primes_up_to_simple,
     remainder_E,
+    small_primes,
     truncated_mobius,
 )
+
+from reference import plain_sieve
 
 
 def trial_division_primes(limit):
@@ -32,11 +34,6 @@ def trial_division_primes(limit):
         if all(n % d for d in range(2, math.isqrt(n) + 1)):
             out.append(n)
     return out
-
-
-@pytest.fixture(scope="module")
-def table():
-    return primes_up_to(10**5 + 2)
 
 
 def test_primes_smallest_cases():
@@ -86,11 +83,16 @@ def test_membership_view_matches_bitmap(table):
     assert not empty[np.arange(-2, 5)].any() and empty[1] is False
 
 
+def _assert_matches_plain_sieve(limit):
+    got, want = primes_up_to(limit).primes, plain_sieve(limit)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape, limit
+    assert np.array_equal(got, want), limit
+    assert small_primes(limit) == tuple(want.tolist()), limit
+
+
 def test_segmented_agrees_with_simple_to_1e7():
-    seg = primes_up_to(10**7)
-    plain = primes_up_to_simple(10**7)
-    assert seg.primes.dtype == plain.primes.dtype == np.int64
-    assert np.array_equal(seg.primes, plain.primes)
+    for limit in [*range(3000), 10**5 + 3, 10**7 + 1]:
+        _assert_matches_plain_sieve(limit)
 
 
 def _limit_near_primes():
@@ -112,7 +114,7 @@ def _limit_near_primes():
 def test_segmented_sieve_at_any_segment_size(limit, segment):
     with mock.patch.object(arith, "_SEGMENT", segment):
         got = primes_up_to(limit)
-    want = primes_up_to_simple(limit).primes
+    want = plain_sieve(limit)
     assert got.limit == limit and got.primes.dtype == np.int64
     assert np.array_equal(got.primes, want)
     assert np.array_equal(got.primes, trial_division_below(max(limit, 0)))
@@ -134,8 +136,8 @@ def test_sieve_allocates_nothing_of_limit_size():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetError):
-        primes_up_to(10**7, cap=10**6)
+    with mock.patch.object(arith, "DEFAULT_LIMIT_CAP", 10**6), pytest.raises(BudgetError):
+        primes_up_to(10**7)
 
 
 def mobius_oracle(n):
@@ -259,8 +261,8 @@ def test_mean_remainder_sum(table):
     assert val > 0
     # degenerate regime: moduli at and above x still contribute finite rows
     assert math.isfinite(mean_remainder_sum(table, 100, 100))
-    with pytest.raises(BudgetError):
-        mean_remainder_sum(table, 10**5, 10**4, work_cap=10**6)
+    with mock.patch.object(arith, "REMAINDER_WORK_CAP", 10**6), pytest.raises(BudgetError):
+        mean_remainder_sum(table, 10**5, 10**4)
 
 
 def test_euler_phi():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sievekit.arith import pi_count, primes_up_to, small_primes
+from sievekit.arith import pi_count, small_primes
 from sievekit.brun import (
     PureSieveConfig,
     default_twin_parameters,
@@ -14,11 +14,6 @@ from sievekit.brun import (
 )
 from sievekit.legendre import legendre_decompose
 from sievekit.problem import build_problem, exact_sift
-
-
-@pytest.fixture(scope="module")
-def table():
-    return primes_up_to(10**5 + 2)
 
 
 def test_truncated_indicator_examples():

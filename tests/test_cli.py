@@ -82,6 +82,9 @@ def test_csv_round_trips_every_kind(problem, capsys):
         assert csv_cols["problem"].startswith(problem[1] + "(")
 
 
+PURE_TWIN = ["bound", "--method", "brun-pure", "--problem", "twin", "--x", "1e4", "--z", "10"]
+
+
 def test_integer_flags_parse_exactly(capsys):
     big = 2**53 + 1  # float() would round it to 2^53
     code, out = run(["sift", "--problem", "interval", "--x", str(big), "--y", "100", "--z", "2",
@@ -95,6 +98,21 @@ def test_integer_flags_parse_exactly(capsys):
     assert main(["sift", "--problem", "interval", "--x", "10.7", "--y", "5", "--z", "2"]) == 2
     assert main(["sift", "--problem", "interval", "--x", "100", "--y", "5", "--z", "2.5"]) == 2
     assert main(["chen", "--N-range", "10000:10010.5:2"]) == 2
+    assert main(PURE_TWIN + ["--ell", "10.7"]) == 2
+    assert main(["lsieve", "--trials", "1e-2"]) == 2
+
+
+@pytest.mark.parametrize("argv, exact, spelled", [
+    (PURE_TWIN, ["--ell", "1"], ["--ell", "1e0"]),
+    (PURE_TWIN, ["--parity", "0"], ["--parity", "0e0"]),
+    (["lsieve", "--suite", "additive", "--trials", "10"], ["--Q", "10", "--N", "120", "--seed", "7"],
+     ["--Q", "1e1", "--N", "1.2e2", "--seed", "7e0"]),
+    (["lsieve", "--suite", "additive"], ["--trials", "10"], ["--trials", "1e1"]),
+])
+def test_count_and_choice_flags_parse_exactly(argv, exact, spelled, capsys):
+    want = run(argv + exact, capsys)
+    assert want[0] == 0 and want[1]
+    assert run(argv + spelled, capsys) == want
 
 
 def test_deterministic_lsieve(capsys):
@@ -156,6 +174,18 @@ def test_verify_refuses_output_and_seed_options(option, tmp_path, monkeypatch, c
     code, out = run(["verify", "--budget", "small", *option], capsys)
     assert code == 2 and out == ""
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sift", "--problem", "twin", "--x", "1e4", "--z", "10"],
+    ["bound", "--method", "legendre", "--problem", "twin", "--x", "1e4", "--z", "10"],
+    ["sievefun", "--tau-max", "4"],
+    ["chen", "--N", "10000"],
+])
+def test_seed_only_where_it_is_read(argv, capsys):
+    # only lsieve draws random inputs; elsewhere --seed would be silently ignored
+    assert main(argv + ["--seed", "3"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_config_file(tmp_path, capsys):

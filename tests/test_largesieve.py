@@ -463,7 +463,7 @@ def test_duality_rayleigh_agreement():
         assert r1 == pytest.approx(r2, rel=1e-6)
         # oracle: the shared top singular value
         n = np.arange(M, M + N)
-        E = np.exp(2j * np.pi * np.outer(pts.as_floats(), n))
+        E = np.exp(2j * np.pi * np.outer(np.array(pts.points, dtype=float), n))
         top = np.linalg.svd(E, compute_uv=False)[0] ** 2
         assert r1 == pytest.approx(top, rel=1e-6)
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sievekit.arith import BudgetError, mobius, primes_up_to, primes_up_to_simple, small_primes
+from sievekit.arith import BudgetError, mobius, small_primes
 from sievekit.problem import (
     ORACLE_ELEMENT_CAP,
+    OmegaForm,
     ResidueSystem,
     SiftingDensity,
     _value_histogram,
@@ -20,10 +21,7 @@ from sievekit.problem import (
     problem_from_config,
 )
 
-
-@pytest.fixture(scope="module")
-def table():
-    return primes_up_to(10**5 + 2)
+from reference import plain_sieve
 
 
 def brute_sift(values, z, d=1):
@@ -122,7 +120,7 @@ def factor_count_reference(x):
     out = np.zeros(x, dtype=np.uint8)
     if x <= 2:
         return out
-    for p in primes_up_to_simple(x).primes:
+    for p in plain_sieve(x):
         pk = int(p)
         while pk < x:
             out[pk::pk] += 1
@@ -302,7 +300,7 @@ def test_residue_system_counting():
     rs = ResidueSystem({2: (0,), 3: (0, 1), 5: (2,)})
     assert rs.size(3) == 2 and rs.size(7) == 0
     assert sorted(rs.roots_mod((2, 3))) == [0, 4]  # even n with n mod 3 in {0, 1}
-    count = rs.count_in_interval(0, 30, (2, 3))
+    count = OmegaForm(0, 30, rs).count_multiple((2, 3))
     direct = sum(1 for n in range(30) if n % 2 == 0 and n % 3 in (0, 1))
     assert count == direct
 
@@ -312,8 +310,8 @@ def test_interval_residue_counts_match_divisibility():
     form = prob.omega_form()
     for d_primes in [(2,), (3,), (2, 3), (5, 7), (2, 3, 5), (11,)]:
         d = math.prod(d_primes)
-        via_residues = form.residues.count_in_interval(form.M, form.N, d_primes)
-        assert via_residues == prob.count_multiple(d), d_primes
+        via_residues = form.count_multiple(d_primes)
+        assert via_residues == int(np.count_nonzero(prob.values() % d == 0)), d_primes
 
 
 def test_residue_system_validation():

@@ -39,7 +39,7 @@ def test_additive_energy_bound(Q, pairs):
     pts = farey_points(Q)
     a = np.array([complex(re, im) for re, im in pairs])
     n = np.arange(len(a))
-    E = np.exp(2j * np.pi * np.outer(pts.as_floats(), n))
+    E = np.exp(2j * np.pi * np.outer(np.array(pts.points, dtype=float), n))
     lhs = float(np.sum(np.abs(E @ a) ** 2))
     rhs = float((len(a) - 1 + 1 / pts.delta) * np.sum(np.abs(a) ** 2))
     assert lhs <= rhs * (1 + 1e-12) + 1e-12

@@ -14,6 +14,7 @@ from sievekit.arith import BudgetError, factor_squarefree, factorize, mobius, pr
 from sievekit import rosser
 from sievekit.legendre import density_product
 from sievekit.problem import SieveProblem, SiftingDensity, build_problem, exact_sift, factor_count_sieve
+from sievekit.reports import write_rows
 from sievekit.rosser import (
     TWO_E_EULER,
     ChenReport,
@@ -29,14 +30,8 @@ from sievekit.rosser import (
     solve_sieve_functions,
     truncation_inequality_check,
     twin_constant,
-    vacuous_weights,
     weight_walk,
 )
-
-
-@pytest.fixture(scope="module")
-def table():
-    return primes_up_to(10**5 + 2)
 
 
 # -- weight tables ----------------------------------------------------------
@@ -44,7 +39,7 @@ def table():
 
 def test_eta_chain_base_cases():
     w = RosserWeightTable(D=1000.0, beta=2.0, r=0)
-    assert w.eta_chain(()) == (1, 0)
+    assert (w.rho_chain(()), w.sigma_chain(())) == (1, 0)
     # single prime, parity 1: kept iff p^(beta+1) < D
     w1 = RosserWeightTable(D=1000.0, beta=2.0, r=1)
     assert w1.rho_chain((7,)) == 1  # 343 < 1000
@@ -160,7 +155,8 @@ def test_rosser_identity_all_kinds(table):
 
 def test_rosser_identity_vacuous_weights():
     prob = build_problem("twin", {"x": 1000})
-    rep = rosser_identity(prob, 2, 12, vacuous_weights(1))
+    # eta identically 1: the weights degenerate to full inclusion-exclusion
+    rep = rosser_identity(prob, 2, 12, RosserWeightTable(D=math.inf, beta=2.0, r=1))
     assert rep.holds
     assert rep.detail["sigma_sum"] == 0
 
@@ -394,7 +390,7 @@ def test_step_guard():
 
 def test_csv_round_trip(tmp_path, functions):
     path = tmp_path / "phi.csv"
-    functions.to_csv(str(path))
+    write_rows(functions.rows(), str(path), "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "tau,phi0,phi1"
     assert len(lines) == len(functions.taus) + 1

@@ -413,7 +413,7 @@ def reference_true_remainder(form, weights):
     total = Fraction(0)
     for m, c in coeff.items():
         fac = prime_factors(m)
-        count = form.residues.count_in_interval(form.M, form.N, fac)
+        count = form.count_multiple(fac)
         total += c * (count - Fraction(form.residues.size_d(fac), m) * form.N)
     return total
 
