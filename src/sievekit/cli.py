@@ -254,15 +254,15 @@ def _int_list(text: str) -> list[int]:
     return [_int(tok) for tok in text.split(",") if tok]
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The sievekit parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="sievekit", description=__doc__)
     parser.add_argument("--config", help="JSON file holding the same keys as the flags")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
+    commands = {}
 
-    def sub_parser(*a, **kw):
-        p = sub.add_parser(*a, **kw)
-        subparsers.append(p)
+    def sub_parser(name, **kw):
+        p = commands[name] = sub.add_parser(name, **kw)
         return p
 
     def add_common(p):
@@ -322,11 +322,33 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=("all",))
     p.add_argument("--budget", default="small", choices=("small", "full"))
     p.set_defaults(func=cmd_verify)
-    if config:
-        for sp in [parser] + subparsers:
-            known = {act.dest for act in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config.items() if k in known})
-    return parser
+    return parser, commands
+
+
+def _config_defaults(command: argparse.ArgumentParser, config: dict) -> dict:
+    """A --config object as defaults of one subcommand, each value parsed by its flag's type and choices.
+
+    A key that names none of the subcommand's flags, or a value its flag
+    would refuse on the command line, raises ValueError naming the key.  A
+    flag without a type takes the value's text, as argparse would; a list
+    is accepted where the flag takes a comma-separated list (--z).
+    """
+    flags = {act.dest: act for act in command._actions if act.option_strings and act.dest != "help"}
+    out = {}
+    for key, value in config.items():
+        act = flags.get(key)
+        if act is None:
+            raise ValueError(f"unknown config key {key!r} for {command.prog!r}")
+        if act.type is _int_list and isinstance(value, list):
+            value = ",".join(map(str, value))
+        try:
+            value = str(value) if act.type is None else act.type(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+        if act.choices is not None and value not in act.choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {list(act.choices)}")
+        out[key] = value
+    return out
 
 
 def main(argv=None) -> int:
@@ -340,11 +362,20 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError, IndexError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-    parser = build_parser(config)
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if config is not None:
+            if not isinstance(config, dict):
+                raise ValueError("the config file must hold one JSON object")
+            # the config sets defaults, so flags given on the command line win
+            commands[args.command].set_defaults(**_config_defaults(commands[args.command], config))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BudgetError as exc:

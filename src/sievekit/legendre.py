@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import small_primes
+from .arith import primes_up_to, small_primes
 from .problem import SieveProblem, SiftingDensity
 
 EXP_MINUS_EULER = 0.561459483566885  # exp(-Euler constant), Mertens constant
@@ -42,16 +42,27 @@ def density_product(density: SiftingDensity, z: int) -> Fraction:
 def density_product_float(density: SiftingDensity, z: int) -> float:
     """Float-precision V(z, omega) for asymptotic comparisons at large z.
 
-    Each factor float(1 - omega(p)/p) is one int division, which is correctly rounded.
+    With omega(p) = a_p/b_p, each factor 1 - omega(p)/p is the one division
+    (p b_p - a_p) / (p b_p) of integers, which is correctly rounded, and the
+    factors are multiplied left to right, so the float is bit-identical to
+    the ``Fraction`` chain.  A density with a bulk rule (``omega_array``:
+    the affine kinds, unit and zero) forms every factor (p - w) / p at once
+    in NumPy; its integers lie far below 2^53, so each division is exact
+    before its one rounding, as in Python.
     """
     if z < 2:
         raise ValueError("z must be >= 2")
-    out = 1.0
-    for p in small_primes(z):
-        w = density.omega(p)
-        pb = p * w.denominator
-        out *= (pb - w.numerator) / pb
-    return out
+    ps = primes_up_to(z).primes
+    w = density.omega_array(ps)
+    if w is not None:
+        factors = ((ps - w) / ps).tolist()
+    else:
+        factors = []
+        for p in ps.tolist():
+            w = density.omega(p)
+            pb = p * w.denominator
+            factors.append((pb - w.numerator) / pb)
+    return math.prod(factors, start=1.0)
 
 
 def legendre_decompose(problem: SieveProblem, z: int) -> SieveDecomposition:

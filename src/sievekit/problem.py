@@ -19,7 +19,14 @@ Supported kinds:
 
 The four affine kinds (interval, twin, goldbach, progression) are each one
 rule for the forbidden index classes Omega(p) (``_affine_classes``); their
-omega(p) is |Omega(p)| and their |A_d| a CRT count of those classes.
+omega(p) is |Omega(p)|, also read in bulk over an array of primes
+(``_affine_class_counts``), and their |A_d| a CRT count of those classes.
+
+Many |A_d| at once come from one divisibility profile (``_Profile``): the
+superset sums of the elements' divisibility pattern over a set of primes.
+``divisor_tally`` reads a walk's |A_d| off the profile over the walk's
+primes once the walk is long enough to pay for it
+(``SieveProblem.profile_threshold``), and counts each d alone otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Mapping
 
 import numpy as np
@@ -46,6 +53,10 @@ DIVISOR_CAP = 1 << 25  # most squarefree divisors one walk, or entries one profi
 _PROFILE_Z = 53  # oracle profiles cover sifting primes below this bound
 _BLOCK = 1 << 18  # index positions per block of the affine residue sieve
 _LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of a value profile spans
+# Costs behind ``SieveProblem.profile_threshold``, in ns, measured on a shared 2-core x86 VM:
+_NS_ELEMENT = 5  # one element in one pass of a profile build, or in a values % d scan
+_NS_ENTRY_BIT = 1  # one profile entry in one prime's step of the superset sum
+_NS_CRT = 4000  # one affine |A_d| by CRT, less the cost of reading it off a profile
 
 
 def in_profile_window(z: int) -> bool:
@@ -61,11 +72,15 @@ class SiftingDensity:
     """Multiplicative density: omega(p) removed residue classes per prime p.
 
     ``kappa`` is the declared dimension.  omega extends multiplicatively to
-    squarefree d; values are exact rationals.
+    squarefree d; values are exact rationals.  ``counts``, when given, is
+    the same rule in bulk for a density with integer omega: omega(p) over
+    an int64 array of primes (``omega_array``).
     """
 
-    def __init__(self, rule: Callable[[int], Fraction], kappa: float):
+    def __init__(self, rule: Callable[[int], Fraction], kappa: float,
+                 counts: Callable[[np.ndarray], np.ndarray] | None = None):
         self._rule = rule
+        self._counts = counts
         self.kappa = kappa
         self._memo: dict[int, Fraction] = {}
         self._fits: dict[tuple[int, int], float] = {}  # dimension_fit results by (z1, z2)
@@ -79,6 +94,21 @@ class SiftingDensity:
             self._memo[p] = w
         return w
 
+    def omega_array(self, ps: np.ndarray) -> np.ndarray | None:
+        """omega(p) for each prime of the int64 array ``ps``, in one call; None without a bulk rule.
+
+        Each value is checked 0 <= omega(p) < p, as ``omega`` checks it,
+        and none is memoised.
+        """
+        if self._counts is None:
+            return None
+        w = self._counts(ps)
+        bad = np.flatnonzero((w < 0) | (w >= ps))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"omega({ps[i]}) = {w[i]} violates 0 <= omega(p) < p")
+        return w
+
     def omega_d(self, d_primes) -> Fraction:
         out = Fraction(1)
         for p in d_primes:
@@ -87,11 +117,11 @@ class SiftingDensity:
 
     @staticmethod
     def unit(kappa: float = 1.0) -> "SiftingDensity":
-        return SiftingDensity(lambda p: Fraction(1), kappa)
+        return SiftingDensity(lambda p: Fraction(1), kappa, np.ones_like)
 
     @staticmethod
     def zero() -> "SiftingDensity":
-        return SiftingDensity(lambda p: Fraction(0), 0.0)
+        return SiftingDensity(lambda p: Fraction(0), 0.0, np.zeros_like)
 
 
 @dataclass(frozen=True)
@@ -230,23 +260,25 @@ class _Profile:
     """Divisibility bit-profile of a problem's elements over a prime window.
 
     ``hist[mask]`` counts elements whose value is divisible by exactly the
-    primes flagged in ``mask``; superset sums then answer every
-    |A_d| / |S(A_d, w)| query exactly without touching the elements again.
-    The primes are in ascending order, bit i for primes[i].
+    primes flagged in ``mask``.  Only its superset sums are kept:
+    ``_superset[mask]`` counts the elements divisible by every prime of
+    ``mask``, which answers every |A_d| / |S(A_d, w)| query exactly without
+    touching the elements again.  The primes are in ascending order, bit i
+    for primes[i].  Every entry is a count of elements, so the tables are
+    int32 when there are fewer than 2^31 elements, as below the oracle cap.
     """
 
     def __init__(self, primes: tuple[int, ...], hist: np.ndarray):
         self.primes = primes
         self.index = {p: i for i, p in enumerate(primes)}
-        self.hist = hist
-        self._superset = self._superset_sum(self.hist)
+        self._superset = self._superset_sum(hist.astype(np.int32 if hist.sum() < 2**31 else np.int64))
         self._sifted: dict[int, np.ndarray] = {0: self._superset}  # sifted by no prime: the superset table itself
 
     @staticmethod
-    def _superset_sum(hist: np.ndarray) -> np.ndarray:
-        f = hist.copy()
+    def _superset_sum(f: np.ndarray) -> np.ndarray:
+        """Fold ``f`` into its superset sums, in place."""
         for i in range(len(f).bit_length() - 1):
-            # axis 1 is bit i of the mask; fold the set half into the clear half in place
+            # axis 1 is bit i of the mask; fold the set half into the clear half
             v = f.reshape(-1, 2, 1 << i)
             v[:, 0, :] += v[:, 1, :]
         return f
@@ -271,9 +303,13 @@ class _Profile:
     def sift_count(self, w: int, d_primes=()) -> int:
         """#{a in A : d | a, a has no prime factor below w (within the window)}.
 
-        The k primes below w are the low k bits of a mask, so the elements
-        free of them are ``hist[::2^k]``; the superset table of that slice,
-        2^(n-k) entries kept per k, answers every d.
+        The k primes below w are the low k bits of a mask.  The table kept
+        for k has 2^(n-k) entries: at mask j of the high bits, the elements
+        free of the k low primes and divisible by those of j.  It answers
+        every d.  It is folded from the kept table of the largest i < k (the
+        superset table is i = 0): reshaped to 2^(k-i) columns for bits i to
+        k - 1, each row's inclusion-exclusion over its columns, one bit at a
+        time, leaves the elements free of those primes too.
         """
         k = bisect_left(self.primes, w)
         dbits = self.bits_of(d_primes)
@@ -281,7 +317,12 @@ class _Profile:
             return 0
         table = self._sifted.get(k)
         if table is None:
-            table = self._sifted[k] = self._superset_sum(self.hist[:: 1 << k])
+            i = max(j for j in self._sifted if j < k)
+            f = self._sifted[i].reshape(-1, 1 << (k - i))
+            for _ in range(k - i):
+                v = f.reshape(len(f), 2, -1)
+                f = v[:, 0, :] - v[:, 1, :]
+            table = self._sifted[k] = f.ravel()
         return int(table[dbits >> k])
 
 
@@ -376,6 +417,39 @@ class SieveProblem:
                 self._inert.add(p)
         return tuple(out)
 
+    def profile_threshold(self, primes) -> int | None:
+        """Fewest walk divisors at which a tally over ``primes`` reads |A_d| off ``profile_over(primes)``.
+
+        0 when every prime lies below 53, since the default window is the
+        profile the bound's exact count builds anyway, and 0 when the
+        profile over ``primes`` is cached.  None, for never, when that
+        profile would exceed ``DIVISOR_CAP`` entries.  Otherwise it is the
+        divisor count at which building the profile costs less than
+        counting each |A_d| alone: the build takes one pass over the
+        elements (the block sieve) for an affine kind, at most one per
+        prime for an explicit one, and a superset sum over k 2^k entry
+        bits; alone, |A_d| is one CRT count for an affine kind and one
+        ``values % d`` pass for an explicit one.
+        """
+        if all(p < _PROFILE_Z for p in primes):
+            return 0
+        primes = tuple(sorted(primes))
+        k = len(primes)
+        if (1 << k) > DIVISOR_CAP:
+            return None
+        if primes in self._profiles:
+            return 0
+        affine = self._form is not None
+        build = _NS_ELEMENT * self.size * (1 if affine else k) + _NS_ENTRY_BIT * k * (1 << k)
+        alone = _NS_CRT if affine else _NS_ELEMENT * self.size
+        return -(-build // max(alone, 1))
+
+    def profile_over(self, primes) -> _Profile:
+        """The default window when every prime of ``primes`` lies below 53, else the profile over exactly them."""
+        if all(p < _PROFILE_Z for p in primes):
+            return self.profile()
+        return self.profile(tuple(sorted(primes)))
+
     def profile_below(self, z: int) -> _Profile:
         """A profile holding every sifting prime below z.
 
@@ -440,6 +514,24 @@ def _affine_classes(kind: str, params: Mapping, p: int) -> tuple[int, ...]:
     return () if k % p == 0 else ((-l * pow(k, -1, p)) % p,)
 
 
+def _affine_class_counts(kind: str, params: Mapping, ps: np.ndarray) -> np.ndarray:
+    """|Omega(p)| for each prime of the int64 array ``ps``, by the cases of ``_affine_classes``."""
+    if kind == "interval":
+        return np.ones_like(ps)
+    if kind == "twin":
+        return np.where(ps == 2, 1, 2)
+    if kind == "goldbach":
+        return np.where(_mod_primes(params["N"], ps) != 0, 2, 1)
+    return (_mod_primes(params["k"], ps) != 0).astype(np.int64)
+
+
+def _mod_primes(n: int, ps: np.ndarray) -> np.ndarray:
+    """n mod p for each prime of ``ps``, also for an n past the int64 range."""
+    if n < 2**63:
+        return n % ps
+    return np.array([n % p for p in ps.tolist()], dtype=np.int64)
+
+
 class _AffineClasses(dict):
     """Omega(p) by prime p, made by ``_affine_classes`` on first lookup and then kept."""
 
@@ -457,9 +549,10 @@ class _AffineClasses(dict):
 
 def _affine_problem(kind: str, params: dict, X: Fraction, kappa: float, M: int, N: int) -> SieveProblem:
     """An affine problem over the indices [M, M+N), its classes given by the kind's rule."""
-    # The density keeps its own calls to the rule: dimension_fit evaluates it
-    # far past any prime the oracle sifts by, and those classes need no keeping.
-    dens = SiftingDensity(lambda p: Fraction(len(_affine_classes(kind, params, p))), kappa)
+    # The density keeps its own calls to the rule, and dimension_fit reads its
+    # bulk form far past any prime the oracle sifts by: those classes need no keeping.
+    dens = SiftingDensity(lambda p: Fraction(len(_affine_classes(kind, params, p))), kappa,
+                          lambda ps: _affine_class_counts(kind, params, ps))
     form = OmegaForm(M, N, ResidueSystem(_AffineClasses(kind, params)))
     return SieveProblem(kind, params, X, dens, form=form)
 
@@ -583,15 +676,21 @@ def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = Fa
     omega(d)/d = n_d/L (``density_numerators``) and X = x_num/x_den, every
     term is an integer over L x_den, so the sums run in Python ints and
     each result is one Fraction: the same rationals as a per-divisor
-    Fraction sum, and so the same floats.  |A_d| is read off the default
-    profile when every prime lies below 53.
+    Fraction sum, and so the same floats.  |A_d| is read off
+    ``problem.profile_over(primes)`` once the walk reaches
+    ``problem.profile_threshold(primes)`` divisors, and counted divisor by
+    divisor (``count_multiple``) in a shorter walk; the walk is held only
+    up to that threshold.
     """
     L, n_of = density_numerators(problem.density, primes)
     x_num, x_den = problem.X.numerator, problem.X.denominator
     scale = L * x_den
-    prof = None if worst_case or not all(p < _PROFILE_Z for p in primes) else problem.profile()
+    at = None if worst_case else problem.profile_threshold(primes)
+    items = iter(items)
+    head = list(islice(items, at or 0))
+    prof = None if at is None or len(head) < at else problem.profile_over(primes)
     main = rem = 0
-    for d, factors, mu in items:
+    for d, factors, mu in chain(head, items):
         n = n_of(factors)
         main += mu * n
         if worst_case:

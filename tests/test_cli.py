@@ -196,6 +196,36 @@ def test_config_file(tmp_path, capsys):
     assert out.strip().splitlines()[1].endswith(",6,8")
 
 
+def test_config_unknown_key_exit_2(tmp_path, capsys):
+    # a key no flag of the subcommand takes, a typo or a flag of another command, is refused by name
+    cfg = tmp_path / "cfg.json"
+    for key in ("zz", "seed"):
+        cfg.write_text(json.dumps({"problem": "twin", "x": 10000, "z": [10], key: 5}))
+        assert main(["--config", str(cfg), "sift"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(key) in captured.err
+
+
+def test_config_values_parsed_by_their_flags(tmp_path, capsys):
+    # each value goes through its flag's own type and choices, as on the command line
+    cfg = tmp_path / "cfg.json"
+    base = {"method": "brun-pure", "problem": "twin", "x": 10000, "z": [10]}
+    for key, value in (("ell", 1.5), ("ell", True), ("parity", 2), ("method", "brun"), ("z", [10.5]), ("D", [1])):
+        cfg.write_text(json.dumps({**base, key: value}))
+        assert main(["--config", str(cfg), "bound"]) == 2, (key, value)
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(key) in captured.err, (key, value)
+    cfg.write_text(json.dumps({**base, "ell": "1e0", "parity": 0, "z": "10,20"}))
+    code, out = run(["--config", str(cfg), "bound"], capsys)
+    flags = ["bound", "--method", "brun-pure", "--problem", "twin", "--x", "10000", "--ell", "1", "--parity", "0"]
+    assert code == 0 and out == run(flags + ["--z", "10,20"], capsys)[1]
+    # a flag on the command line wins over the config
+    assert run(["--config", str(cfg), "bound", "--z", "10"], capsys)[1] == run(flags + ["--z", "10"], capsys)[1]
+    cfg.write_text(json.dumps([base]))
+    assert main(["--config", str(cfg), "bound"]) == 2
+
+
 def test_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

@@ -187,13 +187,17 @@ DENSITIES = {
     # omega(p) = 1 at the small odd primes dividing N, 2 elsewhere
     "goldbach": lambda: build_problem("goldbach", {"N": 2 * 3 * 5 * 7 * 11 * 13 * 101}).density,
     "shifted_prime": lambda: build_problem("shifted_prime", {"x": 100}, table=TABLE).density,
+    # omega(2) = omega(3) = 0: factors of exactly 1.0 in the bulk product
+    "progression": lambda: build_problem("progression", {"x": 100, "k": 6, "l": 1}).density,
+    # 99991 is prime: omega(99991) = 1 among the bulk counts of 2 up to 10^5
+    "goldbach_large_prime": lambda: build_problem("goldbach", {"N": 2 * 99991}).density,
 }
 
 
 @pytest.mark.parametrize("name", sorted(DENSITIES))
 def test_density_floats_bit_equal_to_fraction_chain(name):
     density = DENSITIES[name]()
-    for z in (2, 3, 10, 53, 54, 101, 102, 1000, 10**4):
+    for z in (2, 3, 10, 53, 54, 101, 102, 1000, 10**4, 99991, 99992, 10**5):
         assert density_product_float(density, z).hex() == reference_density_product_float(density, z).hex()
     # z1 = 101 and 97 are prime (v1 stops just below them); [98, 100) holds no prime
     for z1, z2 in ((10, 100), (97, 98), (98, 100), (101, 1009), (100, 10**5)):
@@ -201,3 +205,111 @@ def test_density_floats_bit_equal_to_fraction_chain(name):
         assert fit.hex() == reference_dimension_fit(density, z1, z2).hex(), (z1, z2)
         assert dimension_fit(density, z1, z2) is fit
     assert dimension_fit(density, 10, 100) != dimension_fit(density, 100, 10**5)
+
+
+ROUTE_PROBLEMS = {
+    "twin": ("twin", {"x": 3000}),
+    # 59 | N, so omega(59) = 1 and Omega(59) is the one class 0
+    "goldbach": ("goldbach", {"N": 2 * 3 * 59 * 11}),
+    # 53 | k: the walk skips the inert 53 from z = 54 on
+    "progression": ("progression", {"x": 3000, "k": 2 * 53, "l": 3}),
+    "shifted_prime": ("shifted_prime", {"x": 2500}),
+    "parity": ("parity", {"x": 3000, "r": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_PROBLEMS))
+def test_tally_routes_agree_across_the_window(name):
+    # |A_d| read off profile(primes) against count_multiple, divisor by divisor
+    # and summed into (main, rem) by both routes, at and above z = 53
+    kind, params = ROUTE_PROBLEMS[name]
+    for z in (53, 54, 60, 72):
+        prob = build_problem(kind, params, table=TABLE)
+        primes = prob.sifting_primes(z)
+        walk = list(divisor_walk(primes, max_nu=3))
+        prof = prob.profile(primes)
+        for d, factors, _mu in walk:
+            assert prof.count_multiple(factors) == prob.count_multiple(d, factors), (z, d)
+        tallies = []
+        for at in (0, None):  # every walk reads the profile / none does
+            prob.profile_threshold = lambda _primes, at=at: at
+            tallies.append(divisor_tally(prob, primes, walk))
+        assert tallies[0] == tallies[1] == reference_pure_tally(prob, primes, 3, False), z
+
+
+def _routed_tally(prob, primes, items):
+    """divisor_tally over ``items``, and whether it read a profile (no count_multiple call)."""
+    calls = []
+    count_multiple = prob.count_multiple
+    prob.count_multiple = lambda d, factors: calls.append(d) or count_multiple(d, factors)
+    try:
+        tally = divisor_tally(prob, primes, items)
+    finally:
+        del prob.count_multiple
+    return tally, not calls
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("twin", {"x": 10**5}), ("goldbach", {"N": 100002}), ("parity", {"x": 3000, "r": 0})])
+def test_tally_route_switches_at_the_threshold(kind, params):
+    z = 60
+    prob = build_problem(kind, params)
+    primes = prob.sifting_primes(z)
+    walk = list(divisor_walk(primes, max_nu=4))
+    at = prob.profile_threshold(primes)
+    assert 0 < at < len(walk)
+    for n, reads_profile in ((at - 1, False), (at, True), (len(walk), True)):
+        tally, read = _routed_tally(build_problem(kind, params), primes, iter(walk[:n]))
+        assert read == reads_profile, n
+        other = build_problem(kind, params)
+        other.profile_threshold = lambda _primes: None if reads_profile else 0
+        assert divisor_tally(other, primes, walk[:n]) == tally, n
+    assert tally == reference_pure_tally(prob, primes, 4, False)
+    # a cached profile is read by every walk, and the window profile below 53 too
+    assert prob.profile_threshold(primes) == at
+    prob.profile(primes)
+    assert prob.profile_threshold(primes) == 0
+    assert prob.profile_threshold(prob.sifting_primes(53)) == 0
+
+
+def test_small_walks_stay_on_the_per_divisor_route():
+    # pure upper at ell = 1 (1 + 20 + 190 divisors over the 20 primes below 72),
+    # and at ell = 0 on 2 * 10^7 elements (one divisor): building a profile costs more
+    small = build_problem("twin", {"x": 10**5})
+    primes = small.sifting_primes(72)
+    assert len(list(divisor_walk(primes, max_nu=2))) == 211 < small.profile_threshold(primes)
+    big = build_problem("twin", {"x": 2 * 10**7})
+    assert 1 < big.profile_threshold(big.sifting_primes(60))
+    tally, read = _routed_tally(small, primes, divisor_walk(primes, max_nu=2))
+    assert not read and tally == reference_pure_tally(small, primes, 2, False)
+    # the walks of the bounds benchmark at z = 60 read it: 3214 (pure upper) and 834 (pure lower) divisors
+    bench = build_problem("twin", {"x": 10**5})
+    primes = bench.sifting_primes(60)
+    assert bench.profile_threshold(primes) <= 834
+    assert _routed_tally(bench, primes, divisor_walk(primes, max_nu=3))[1]
+
+
+def test_profile_threshold_past_the_cap_is_never():
+    # 2^26 entries would exceed DIVISOR_CAP, so no walk builds that profile
+    prob = build_problem("twin", {"x": 10**4})
+    assert prob.profile_threshold(small_primes(102)) is None
+
+
+def test_bulk_density_counts_checked_like_omega():
+    # a bulk rule breaking 0 <= omega(p) < p raises ValueError, as omega(p) does
+    for bad in (lambda p: p, lambda p: -1):
+        density = SiftingDensity(lambda p: Fraction(bad(p)), 1.0, lambda ps: np.vectorize(bad)(ps))
+        with pytest.raises(ValueError, match="violates"):
+            density.omega(7)
+        with pytest.raises(ValueError, match="violates"):
+            density_product_float(density, 10)
+        with pytest.raises(ValueError, match="violates"):
+            dimension_fit(density, 10, 100)
+    # the affine kinds' bulk counts are the sizes of their class sets
+    for kind, params in (("twin", {"x": 100}), ("goldbach", {"N": 2 * 3 * 59}), ("interval", {"x": 9, "y": 9}),
+                         ("progression", {"x": 100, "k": 2 * 3 * 53, "l": 5})):
+        prob = build_problem(kind, params)
+        ps = primes_up_to(1000).primes
+        want = [len(prob.omega_form().residues.classes[p]) for p in ps.tolist()]
+        assert prob.density.omega_array(ps).tolist() == want, kind
+    assert build_problem("shifted_prime", {"x": 100}, table=TABLE).density.omega_array(ps) is None
