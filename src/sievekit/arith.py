@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 DEFAULT_LIMIT_CAP = 10**9  # largest prime-table limit
+SMALL_PRIMES_CAP = 2 * 10**7  # largest small_primes limit: 1.27M primes, held as Python ints
 REMAINDER_WORK_CAP = 10**9  # most (modulus, prime) steps one mean_remainder_sum may take
 _SEGMENT = 1 << 20
 LI_ABS_TOL = 1e-9
@@ -128,7 +128,9 @@ def primes_up_to(limit: int) -> PrimeTable:
 
 @lru_cache(maxsize=64)
 def small_primes(limit: int) -> tuple[int, ...]:
-    """Cached tuple of the primes below ``limit``, read off :func:`primes_up_to` (intended for small limits)."""
+    """Cached tuple of the primes below ``limit``, read off :func:`primes_up_to`; BudgetError past the cap."""
+    if limit > SMALL_PRIMES_CAP:
+        raise BudgetError(f"small_primes limit {limit} exceeds cap {SMALL_PRIMES_CAP}")
     return tuple(primes_up_to(limit).primes.tolist())
 
 
@@ -261,6 +263,8 @@ def li(x: float) -> float:
         raise ValueError("li is defined here for x >= 2")
     if x == 2:
         return 0.0
+    from scipy.integrate import quad  # imported here: li is its only user, and scipy is most of the import time
+
     val, _err = quad(lambda t: 1.0 / math.log(t), 2.0, x, epsabs=LI_ABS_TOL, epsrel=1e-12, limit=200)
     return val
 

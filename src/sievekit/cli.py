@@ -97,6 +97,8 @@ def cmd_bound(args) -> int:
     problem = _problem_from_args(args)
     if not args.z or not args.method:
         raise ValueError("--z and --method are required (flag or config)")
+    if args.D is not None and not 0 < args.D < float("inf"):
+        raise ValueError(f"--D must be a finite number > 0, got {args.D}")
     rows = []
     for z in args.z:
         if args.method == "legendre":
@@ -125,6 +127,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_lsieve(args) -> int:
+    if args.trials < 0 or args.Q < 2:
+        raise ValueError(f"lsieve needs --trials >= 0 and --Q >= 2, got {args.trials} and {args.Q}")
     rng = np.random.default_rng(args.seed)
     rows = []
     suites = ("additive", "dual", "hilbert", "multiplicative", "linnik", "duality")
@@ -175,6 +179,8 @@ def cmd_lsieve(args) -> int:
 
 
 def cmd_sievefun(args) -> int:
+    if not 0 < args.step < float("inf"):
+        raise ValueError(f"--step must be a finite number > 0, got {args.step}")
     table = solve_sieve_functions(tau_max=args.tau_max, step=args.step)
     _emit(table.rows(), args)
     return 0

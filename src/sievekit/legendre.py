@@ -74,7 +74,8 @@ def legendre_decompose(problem: SieveProblem, z: int) -> SieveDecomposition:
     is exact.  The profile raises BudgetError, before allocating, when its
     2^pi(z) entries exceed the divisor cap.
     """
-    total = problem.profile_below(z).mobius_sum(problem.sifting_primes(z))
+    primes = problem.sifting_primes(z)
+    total = problem.profile(primes).mobius_sum(primes)
     main = density_product(problem.density, z) * problem.X
     return SieveDecomposition(main, Fraction(total) - main, total)
 

@@ -1,11 +1,9 @@
 """Sieve-problem data model: sequences, densities, residue systems, oracles.
 
 A :class:`SieveProblem` packages a finite integer sequence ``A`` together
-with its multiplicative density ``omega``, a scale ``X`` and (for affine
-kinds) an equivalent residue-class description.  ``exact_sift`` is the
-exact oracle every bound in the package is compared against: a segmented
-residue sieve over the index range for the affine kinds, a divisibility
-scan of the element values for the explicit ones.
+with its multiplicative density ``omega``, a scale ``X`` and the source of
+its elements.  ``exact_sift`` is the exact oracle every bound in the
+package is compared against.
 
 Supported kinds:
 
@@ -17,23 +15,28 @@ Supported kinds:
 * ``parity``         n < x, total prime divisors = r,  omega = 1, X = x/2
 * ``custom``         explicit elements + density
 
-The four affine kinds (interval, twin, goldbach, progression) are each one
-rule for the forbidden index classes Omega(p) (``_affine_classes``); their
-omega(p) is |Omega(p)|, also read in bulk over an array of primes
-(``_affine_class_counts``), and their |A_d| a CRT count of those classes.
+Every count is over one divisibility pattern of the elements, marked in
+blocks by the kernel of the problem's one source.  The affine kinds
+(interval, twin, goldbach, progression) hold an ``OmegaForm``: an index
+interval and one rule for the forbidden index classes Omega(p)
+(``_affine_classes``), struck as strided slices; omega(p) = |Omega(p)|
+and |A_d| is a CRT count.  The explicit kinds hold ``_Values``, an int64
+array marked by residue lookup tables.  Histograms, sifted counts and
+survivor masks are written once over the kernel (``_Source``).
 
-Many |A_d| at once come from one divisibility profile (``_Profile``): the
-superset sums of the elements' divisibility pattern over a set of primes.
-``divisor_tally`` reads a walk's |A_d| off the profile over the walk's
-primes once the walk is long enough to pay for it
-(``SieveProblem.profile_threshold``), and counts each d alone otherwise.
+Many |A_d| at once come from one divisibility profile (``_Profile``,
+``SieveProblem.profile``): the superset sums of the pattern over a set of
+primes, the window below 53 for any set inside it.  ``exact_sift`` reads
+the window up to z = 53 and sifts the source past it; ``divisor_tally``
+reads the profile over a walk's primes once the walk is long enough to pay
+for it (``SieveProblem.profile_threshold``).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, islice
@@ -51,17 +54,12 @@ KINDS = ("interval", "twin", "goldbach", "shifted_prime", "progression", "parity
 ORACLE_ELEMENT_CAP = 2 * 10**7
 DIVISOR_CAP = 1 << 25  # most squarefree divisors one walk, or entries one profile, may hold
 _PROFILE_Z = 53  # oracle profiles cover sifting primes below this bound
-_BLOCK = 1 << 18  # index positions per block of the affine residue sieve
-_LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of a value profile spans
+_BLOCK = 1 << 18  # fewest element positions per block of a source's marking kernel
+_LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of the explicit kernel spans
 # Costs behind ``SieveProblem.profile_threshold``, in ns, measured on a shared 2-core x86 VM:
 _NS_ELEMENT = 5  # one element in one pass of a profile build, or in a values % d scan
 _NS_ENTRY_BIT = 1  # one profile entry in one prime's step of the superset sum
 _NS_CRT = 4000  # one affine |A_d| by CRT, less the cost of reading it off a profile
-
-
-def in_profile_window(z: int) -> bool:
-    """Whether every prime below z lies in the default profile window (the primes below 53)."""
-    return z <= _PROFILE_Z
 
 
 def _as_fraction(x) -> Fraction:
@@ -166,50 +164,83 @@ class ResidueSystem:
         return roots
 
 
-@dataclass(frozen=True)
-class OmegaForm:
-    """Interval [M, M+N) sifted by forbidden residue classes.
+class _Source:
+    """A problem's elements: ``N``, ``values()``, ``count_multiple`` and one marking kernel.
 
-    Every count is made by one segmented residue sieve: the index range is
-    walked in blocks of ``_BLOCK`` positions, and inside a block each class
-    r mod p is struck with the strided slice ``buf[(r - start) % p :: p]``.
-    Counts hold one block at a time, whatever M and N; no element value is
-    formed, so indices past 2^63 are fine.
+    ``_marker(marks, dtype)`` returns a function of a block [lo, hi) of
+    element positions that gives a ``dtype`` buffer ORing ``bit`` at every
+    element p divides, for each (p, bit) of ``marks``.
     """
 
-    M: int
-    N: int
-    residues: ResidueSystem
-
     def _marked_blocks(self, marks, nbits: int):
-        """Yield one buffer per block, ORing ``bit`` at every index in a class mod p.
+        """Yield the kernel's buffer per block of ``_BLOCK`` positions, or of 2^nbits when that is more.
 
-        ``marks`` lists (p, bit) pairs; ``nbits`` bounds the bits in use and
-        so the buffer dtype.  Raises BudgetError before any work when N
-        exceeds ``ORACLE_ELEMENT_CAP``.
+        ``nbits`` bounds the bits in use and so the dtype; the longer block
+        keeps a histogram's bincount at most one pass per element.  Raises
+        BudgetError before any work when N exceeds ``ORACLE_ELEMENT_CAP``.
         """
         if self.N > ORACLE_ELEMENT_CAP:
             raise BudgetError(f"{self.N} elements exceed the oracle cap {ORACLE_ELEMENT_CAP}")
         dtype = np.min_scalar_type((1 << nbits) - 1)
-        end = self.M + self.N
-        for start in range(self.M, end, _BLOCK):
-            buf = np.zeros(min(_BLOCK, end - start), dtype=dtype)
-            for p, bit in marks:
-                for r in self.residues.classes.get(p, ()):
-                    buf[(r - start) % p :: p] |= bit
-            yield buf
+        mark = self._marker(marks, dtype)
+        step = max(_BLOCK, 1 << nbits)
+        for lo in range(0, self.N, step):
+            yield mark(lo, min(lo + step, self.N))
 
     def _survivor_blocks(self, z: int):
-        """Block masks of the indices lying in no class mod a prime p < z."""
-        for buf in self._marked_blocks([(p, 1) for p in small_primes(z) if self.residues.supported(p)], 1):
+        """Block masks of the elements divisible by no prime p < z."""
+        for buf in self._marked_blocks([(p, 1) for p in small_primes(z)], 1):
             yield buf == 0
 
     def survivor_mask(self, z: int) -> np.ndarray:
         return np.concatenate([np.ones(0, dtype=bool), *self._survivor_blocks(z)])
 
     def sift_count(self, z: int) -> int:
-        """#{n in [M, M+N) : n in no Omega(p) with p < z}."""
+        """The elements divisible by no prime p < z."""
         return sum(int(np.count_nonzero(keep)) for keep in self._survivor_blocks(z))
+
+    def histogram(self, primes: tuple[int, ...]) -> np.ndarray:
+        """Counts of elements by the set of ``primes`` dividing them (bit i for primes[i])."""
+        hist = None  # the first block's counts, so that one block holds one table
+        for buf in self._marked_blocks([(p, 1 << i) for i, p in enumerate(primes)], len(primes)):
+            counts = np.bincount(buf, minlength=1 << len(primes))
+            hist = counts if hist is None else np.add(hist, counts, out=hist)
+        return np.zeros(1 << len(primes), dtype=np.int64) if hist is None else hist
+
+
+@dataclass(frozen=True)
+class OmegaForm(_Source):
+    """Interval [M, M+N) sifted by forbidden residue classes.
+
+    p divides the element at index n when n lies in Omega(p), so the kernel
+    strikes each class r mod p of a block as ``buf[(r - start) % p :: p]``.
+    No element value is formed, so indices past 2^63 are fine; ``element``
+    maps int64 indices to the values ``values()`` returns (default: the indices).
+    """
+
+    M: int
+    N: int
+    residues: ResidueSystem
+    element: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False, repr=False)
+
+    def _marker(self, marks, dtype):
+        struck = [(p, bit, self.residues.classes.get(p, ())) for p, bit in marks]
+
+        def mark(lo: int, hi: int) -> np.ndarray:
+            buf = np.zeros(hi - lo, dtype=dtype)
+            start = self.M + lo
+            for p, bit, res in struck:
+                for r in res:
+                    buf[(r - start) % p :: p] |= bit
+            return buf
+
+        return mark
+
+    def values(self) -> np.ndarray:
+        if self.N > ORACLE_ELEMENT_CAP:
+            raise BudgetError(f"{self.N} elements exceed enumeration cap")
+        t = np.arange(self.M, self.M + self.N, dtype=np.int64)
+        return t if self.element is None else self.element(t)
 
     def count_multiple(self, d_primes) -> int:
         """#{n in [M, M+N) : n in Omega(p) for every p | d}, by CRT."""
@@ -217,43 +248,74 @@ class OmegaForm:
         hi, lo = self.M + self.N - 1, self.M - 1
         return sum((hi - r) // m - (lo - r) // m for r in self.residues.roots_mod(d_primes))
 
-    def histogram(self, primes: tuple[int, ...]) -> np.ndarray:
-        """Counts of indices by the set of ``primes`` whose classes hold them (bit i for primes[i])."""
-        hist = np.zeros(1 << len(primes), dtype=np.int64)
-        for buf in self._marked_blocks([(p, 1 << i) for i, p in enumerate(primes)], len(primes)):
-            hist += np.bincount(buf, minlength=len(hist))
-        return hist
+    def _tally_costs(self, k: int) -> tuple[int, int]:
+        """(ns to mark a profile over k primes, ns per |A_d| alone): one block-sieve pass, one CRT count."""
+        return _NS_ELEMENT * self.N, _NS_CRT
 
 
-def _value_histogram(values: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
-    """Counts of ``values`` by the set of ``primes`` dividing them (bit i for primes[i]).
+class _Values(_Source):
+    """Explicit element values as an int64 array, formed by ``make`` on first use and kept.
 
-    The primes are taken in order in greedy runs whose product m stays at
-    most ``_LUT_MODULUS`` (2^18): below 53 these are 2*3*5*7*11*13 = 30030,
-    17*19*23*29, 31*37*41 and 43*47.  Each prime p of a run divides m, so
-    p | v exactly when p | (v mod m); a table of m entries holding, at
-    residue s, the bits of the run's primes that divide s flags the whole
-    run with one ``values % m`` pass and one lookup.  NumPy's ``%`` by a
-    positive m is non-negative for every int64, negatives and 0 included.
-    A prime too large to share a run is tested on its own.
+    The kernel takes the primes in greedy runs whose product m stays at
+    most ``_LUT_MODULUS`` (2^18), e.g. 2*3*5*7*11*13 = 30030 and 43*47.
+    p | v exactly when p | (v mod m), so a table of m entries holding, at
+    residue s, the bits of the run's primes dividing s marks the run with
+    one ``values % m`` and one lookup per block (NumPy's ``%`` by m > 0 is
+    non-negative for every int64).  A prime too large to share a run is
+    tested on its own.
     """
-    dtype = np.min_scalar_type((1 << len(primes)) - 1)
-    masks = np.zeros(len(values), dtype=dtype)
-    i = 0
-    while i < len(primes):
-        j, m = i + 1, primes[i]
-        while j < len(primes) and m * primes[j] <= _LUT_MODULUS:
-            m *= primes[j]
-            j += 1
-        if j == i + 1:
-            masks |= (values % m == 0).astype(dtype) << i
-        else:
-            lut = np.zeros(m, dtype=dtype)
-            for k in range(i, j):
-                lut[:: primes[k]] |= 1 << k
-            masks |= lut[values % m]
-        i = j
-    return np.bincount(masks, minlength=1 << len(primes)).astype(np.int64, copy=False)
+
+    def __init__(self, make: Callable[[], np.ndarray]):
+        self._make = make
+        self._values: np.ndarray | None = None
+
+    @property
+    def N(self) -> int:
+        return len(self.values())
+
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self._make()
+        return self._values
+
+    def _marker(self, marks, dtype):
+        values, runs, i = self.values(), [], 0
+        while i < len(marks):
+            j, m = i + 1, marks[i][0]
+            while j < len(marks) and m * marks[j][0] <= _LUT_MODULUS:
+                m *= marks[j][0]
+                j += 1
+            if j == i + 1:
+                runs.append((m, marks[i][1]))
+            else:
+                lut = np.zeros(m, dtype=dtype)
+                for p, bit in marks[i:j]:
+                    lut[::p] |= bit
+                runs.append((m, lut))
+            i = j
+
+        def mark(lo: int, hi: int) -> np.ndarray:
+            v = values[lo:hi]
+            buf = np.zeros(hi - lo, dtype=dtype)
+            for m, lut in runs:
+                if isinstance(lut, int):  # a lone prime, with its bit
+                    np.bitwise_or(buf, lut, out=buf, where=v % m == 0)
+                else:
+                    buf |= lut[v % m]
+            return buf
+
+        return mark
+
+    def count_multiple(self, d_primes) -> int:
+        """#{a in A : d | a}, by one ``values % d`` pass."""
+        d, vals = math.prod(d_primes), self.values()
+        if d > 2**63:  # above every int64 |value|, so only 0 is a multiple
+            return int(np.count_nonzero(vals == 0))
+        return int(np.count_nonzero(vals % d == 0))
+
+    def _tally_costs(self, k: int) -> tuple[int, int]:
+        """(ns to mark a profile over k primes, ns per |A_d| alone): at most a pass per prime, one pass."""
+        return _NS_ELEMENT * self.N * k, _NS_ELEMENT * self.N
 
 
 class _Profile:
@@ -327,74 +389,44 @@ class _Profile:
 
 
 class SieveProblem:
-    """A finite sequence with density bookkeeping and exact counting."""
+    """A finite sequence with density bookkeeping and exact counting.
 
-    def __init__(
-        self,
-        kind: str,
-        params: dict,
-        X: Fraction,
-        density: SiftingDensity,
-        *,
-        explicit: np.ndarray | None = None,
-        form: OmegaForm | None = None,
-    ):
+    ``source`` holds the elements (``OmegaForm`` or ``_Values``); every count
+    is asked of it or of a profile built from it, whichever it is.
+    """
+
+    def __init__(self, kind: str, params: dict, X: Fraction, density: SiftingDensity, source: _Source):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
         self.params = dict(params)
         self.X = _as_fraction(X)
         self.density = density
-        self._form = form  # an affine kind's index interval and class rule
-        self._values: np.ndarray | None = explicit
+        self.source = source
         self._profiles: dict[tuple[int, ...], _Profile] = {}
         self._inert: set[int] = set()  # primes with omega(p) = 0 checked to divide no element
 
-    # -- element access -------------------------------------------------
-
     @property
     def size(self) -> int:
-        if self._form is None:  # explicit elements, or parity's made on first use
-            return len(self.values())
-        return self._form.N
+        return self.source.N
 
     def values(self) -> np.ndarray:
-        """The element values of A as an int64 array (cached)."""
-        if self._values is None and self.kind == "parity":
-            # n < x whose prime divisors, counted with multiplicity, number r mod 2
-            big_omega = factor_count_sieve(self.params["x"])
-            self._values = np.nonzero((big_omega[1:] & 1) == self.params["r"])[0].astype(np.int64) + 1
-        if self._values is None:
-            if self.size > ORACLE_ELEMENT_CAP:
-                raise BudgetError(f"{self.size} elements exceed enumeration cap")
-            t = np.arange(self._form.M, self._form.M + self._form.N, dtype=np.int64)
-            if self.kind == "interval":
-                self._values = t
-            elif self.kind == "twin":
-                self._values = t * (t + 2)
-            elif self.kind == "goldbach":
-                self._values = t * (self.params["N"] - t)
-            else:  # progression
-                self._values = self.params["l"] + self.params["k"] * t
-        return self._values
+        """The element values of A as an int64 array."""
+        return self.source.values()
 
-    def profile(self, primes: tuple[int, ...] | None = None) -> _Profile:
-        """The divisibility profile over ascending ``primes`` (default: the primes below 53), cached.
+    def profile(self, primes=None) -> _Profile:
+        """The divisibility profile over ``primes``, cached: the window below 53 when they all lie in it.
 
-        Raises BudgetError, before any allocation, when the 2^len(primes)
-        histogram entries would exceed ``DIVISOR_CAP``.
+        Any other set gets a profile over exactly its primes.  Raises
+        BudgetError, before any allocation, when its 2^len(primes) entries
+        would exceed ``DIVISOR_CAP``.
         """
-        if primes is None:
-            primes = small_primes(_PROFILE_Z)
+        primes = _profile_primes(primes or ())
         if (1 << len(primes)) > DIVISOR_CAP:
             raise BudgetError(f"2^{len(primes)} profile entries exceed the enumeration cap")
         prof = self._profiles.get(primes)
         if prof is None:
-            if self._form is not None:
-                hist = self._form.histogram(primes)
-            else:
-                hist = _value_histogram(self.values(), primes)
-            prof = self._profiles[primes] = _Profile(primes, hist)
+            prof = self._profiles[primes] = _Profile(primes, self.source.histogram(primes))
         return prof
 
     def sifting_primes(self, z: int, z0: int = 2) -> tuple[int, ...]:
@@ -418,74 +450,37 @@ class SieveProblem:
         return tuple(out)
 
     def profile_threshold(self, primes) -> int | None:
-        """Fewest walk divisors at which a tally over ``primes`` reads |A_d| off ``profile_over(primes)``.
+        """Fewest walk divisors at which a tally over ``primes`` reads |A_d| off ``profile(primes)``.
 
-        0 when every prime lies below 53, since the default window is the
-        profile the bound's exact count builds anyway, and 0 when the
-        profile over ``primes`` is cached.  None, for never, when that
-        profile would exceed ``DIVISOR_CAP`` entries.  Otherwise it is the
-        divisor count at which building the profile costs less than
-        counting each |A_d| alone: the build takes one pass over the
-        elements (the block sieve) for an affine kind, at most one per
-        prime for an explicit one, and a superset sum over k 2^k entry
-        bits; alone, |A_d| is one CRT count for an affine kind and one
-        ``values % d`` pass for an explicit one.
+        0 when that profile is the window (the bound's exact count builds it
+        anyway) or is cached; None, for never, past ``DIVISOR_CAP`` entries.
+        Otherwise building it (the source's marking pass and a superset sum
+        over k 2^k entry bits) costs less than counting each |A_d| alone
+        (``_tally_costs``).
         """
-        if all(p < _PROFILE_Z for p in primes):
-            return 0
-        primes = tuple(sorted(primes))
+        primes = _profile_primes(primes)
         k = len(primes)
         if (1 << k) > DIVISOR_CAP:
             return None
-        if primes in self._profiles:
+        if primes[-1] < _PROFILE_Z or primes in self._profiles:
             return 0
-        affine = self._form is not None
-        build = _NS_ELEMENT * self.size * (1 if affine else k) + _NS_ENTRY_BIT * k * (1 << k)
-        alone = _NS_CRT if affine else _NS_ELEMENT * self.size
-        return -(-build // max(alone, 1))
-
-    def profile_over(self, primes) -> _Profile:
-        """The default window when every prime of ``primes`` lies below 53, else the profile over exactly them."""
-        if all(p < _PROFILE_Z for p in primes):
-            return self.profile()
-        return self.profile(tuple(sorted(primes)))
-
-    def profile_below(self, z: int) -> _Profile:
-        """A profile holding every sifting prime below z.
-
-        Up to ``_PROFILE_Z`` that is the default window; above it, the
-        profile over exactly the sifting primes, 2^pi(z) entries at most.
-        """
-        return self.profile() if in_profile_window(z) else self.profile(self.sifting_primes(z))
-
-    # -- exact counting ---------------------------------------------------
+        mark, alone = self.source._tally_costs(k)
+        return -(-(mark + _NS_ENTRY_BIT * k * (1 << k)) // max(alone, 1))
 
     def count_multiple(self, d: int, d_primes=None) -> int:
-        """|A_d|: elements whose value is divisible by squarefree d.
+        """|A_d|: elements whose value is divisible by squarefree d, with primes ``d_primes``.
 
-        ``d_primes`` are the primes of d when the caller already holds them
-        (a divisor walk does); otherwise d is factored here, and a d that is
-        not squarefree raises ValueError.  An affine kind counts the indices
-        lying in Omega(p) for every p | d by CRT.
+        Without them d is factored here, and a d that is not squarefree raises ValueError.
         """
         if d_primes is None:
             d_primes = factor_squarefree(d).prime_factors
-        if self._form is not None:
-            return self._form.count_multiple(d_primes)
-        vals = self.values()
-        if d > 2**63:  # above every int64 |value|, so only 0 is a multiple
-            return int(np.count_nonzero(vals == 0))
-        return int(np.count_nonzero(vals % d == 0))
-
-    # -- residue-class (Omega) form --------------------------------------
+        return self.source.count_multiple(d_primes)
 
     def omega_form(self) -> OmegaForm:
         """The affine kind's index interval and class rule, valid at every z."""
-        if self._form is None:
+        if not isinstance(self.source, OmegaForm):
             raise ValueError(f"kind {self.kind!r} has no residue-class form")
-        return self._form
-
-    # -- serialization ----------------------------------------------------
+        return self.source
 
     def to_config(self) -> dict:
         return {"kind": self.kind, **self.params}
@@ -493,6 +488,12 @@ class SieveProblem:
     def describe(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
         return f"{self.kind}({inner})"
+
+
+def _profile_primes(primes) -> tuple[int, ...]:
+    """The primes of the profile over ``primes``: the window below 53 when they all lie in it, else them, ascending."""
+    primes = tuple(sorted(primes))
+    return small_primes(_PROFILE_Z) if all(p < _PROFILE_Z for p in primes) else primes
 
 
 def _affine_classes(kind: str, params: Mapping, p: int) -> tuple[int, ...]:
@@ -547,14 +548,14 @@ class _AffineClasses(dict):
         return self[p]
 
 
-def _affine_problem(kind: str, params: dict, X: Fraction, kappa: float, M: int, N: int) -> SieveProblem:
-    """An affine problem over the indices [M, M+N), its classes given by the kind's rule."""
+def _affine_problem(kind: str, params: dict, X: Fraction, kappa: float, M: int, N: int, element=None) -> SieveProblem:
+    """An affine problem over the indices [M, M+N), its classes given by the kind's rule, its values by ``element``."""
     # The density keeps its own calls to the rule, and dimension_fit reads its
     # bulk form far past any prime the oracle sifts by: those classes need no keeping.
     dens = SiftingDensity(lambda p: Fraction(len(_affine_classes(kind, params, p))), kappa,
                           lambda ps: _affine_class_counts(kind, params, ps))
-    form = OmegaForm(M, N, ResidueSystem(_AffineClasses(kind, params)))
-    return SieveProblem(kind, params, X, dens, form=form)
+    form = OmegaForm(M, N, ResidueSystem(_AffineClasses(kind, params)), element)
+    return SieveProblem(kind, params, X, dens, form)
 
 
 def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None) -> SieveProblem:
@@ -574,12 +575,12 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         x = int(params["x"])
         if x < 5:
             raise ValueError("twin needs x >= 5")
-        return _affine_problem(kind, {"x": x}, Fraction(x), 2.0, 1, x - 3)
+        return _affine_problem(kind, {"x": x}, Fraction(x), 2.0, 1, x - 3, lambda t: t * (t + 2))
     if kind == "goldbach":
         N = int(params["N"])
         if N < 8 or N % 2:
             raise ValueError("goldbach needs even N >= 8")
-        return _affine_problem(kind, {"N": N}, Fraction(N), 2.0, 3, N - 5)
+        return _affine_problem(kind, {"N": N}, Fraction(N), 2.0, 3, N - 5, lambda t: t * (N - t))
     if kind == "shifted_prime":
         x = int(params["x"])
         if table is None or table.limit < x + 2:
@@ -587,7 +588,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         ps = table.primes_below(x)
         vals = (ps[ps >= 3] + 2).astype(np.int64)
         dens = SiftingDensity(lambda p: Fraction(0) if p == 2 else Fraction(p, p - 1), 1.0)
-        return SieveProblem(kind, {"x": x}, Fraction(li(x)), dens, explicit=vals)
+        return SieveProblem(kind, {"x": x}, Fraction(li(x)), dens, _Values(lambda: vals))
     if kind == "progression":
         x, k, l = int(params["x"]), int(params["k"]), int(params["l"])
         if k < 1:
@@ -598,19 +599,21 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         first = l or k  # the least n >= 1 in the class
         count = (x - 1 - first) // k + 1 if first < x else 0
         return _affine_problem(kind, {"x": x, "k": k, "l": l}, Fraction(x, k), 1.0,
-                               (first - l) // k if count else 0, count)
+                               (first - l) // k if count else 0, count, lambda t: l + k * t)
     if kind == "parity":
         x, r = int(params["x"]), int(params["r"])
         if r not in (0, 1):
             raise ValueError("parity r must be 0 or 1")
         if x > ORACLE_ELEMENT_CAP:
             raise BudgetError(f"parity x={x} exceeds enumeration cap")
-        return SieveProblem(kind, {"x": x, "r": r}, Fraction(x, 2), SiftingDensity.unit(1.0))
+        # n < x whose prime divisors, counted with multiplicity, number r mod 2
+        source = _Values(lambda: np.flatnonzero((factor_count_sieve(x)[1:] & 1) == r).astype(np.int64) + 1)
+        return SieveProblem(kind, {"x": x, "r": r}, Fraction(x, 2), SiftingDensity.unit(1.0), source)
     if kind == "custom":
         vals = np.asarray(params["elements"], dtype=np.int64)
         dens = params.get("density") or SiftingDensity.unit(1.0)
         X = _as_fraction(params.get("X", len(vals)))
-        return SieveProblem(kind, {"n_elements": len(vals)}, X, dens, explicit=vals)
+        return SieveProblem(kind, {"n_elements": len(vals)}, X, dens, _Values(lambda: vals))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -677,7 +680,7 @@ def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = Fa
     term is an integer over L x_den, so the sums run in Python ints and
     each result is one Fraction: the same rationals as a per-divisor
     Fraction sum, and so the same floats.  |A_d| is read off
-    ``problem.profile_over(primes)`` once the walk reaches
+    ``problem.profile(primes)`` once the walk reaches
     ``problem.profile_threshold(primes)`` divisors, and counted divisor by
     divisor (``count_multiple``) in a shorter walk; the walk is held only
     up to that threshold.
@@ -688,7 +691,7 @@ def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = Fa
     at = None if worst_case else problem.profile_threshold(primes)
     items = iter(items)
     head = list(islice(items, at or 0))
-    prof = None if at is None or len(head) < at else problem.profile_over(primes)
+    prof = None if at is None or len(head) < at else problem.profile(primes)
     main = rem = 0
     for d, factors, mu in chain(head, items):
         n = n_of(factors)
@@ -704,21 +707,14 @@ def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = Fa
 def exact_sift(problem: SieveProblem, z: int) -> int:
     """Exact survivor count after sifting by every prime below z, the oracle count.
 
-    Up to z = 53 it is read off the default window profile; above it an
-    affine kind runs the block residue sieve, and an explicit kind scans
-    its values once per prime below z.
+    Up to z = 53 it is read off the default window profile; above it the
+    problem's source sifts its elements block by block.
     """
     if z < 2:
         raise ValueError("z must be >= 2")
-    if in_profile_window(z):
+    if z <= _PROFILE_Z:
         return problem.profile().sift_count(z)
-    if problem._form is not None:
-        return problem._form.sift_count(z)
-    vals = problem.values()
-    keep = np.ones(len(vals), dtype=bool)
-    for p in small_primes(z):
-        keep &= vals % p != 0
-    return int(np.count_nonzero(keep))
+    return problem.source.sift_count(z)
 
 
 def divisor_walk(primes, *, max_nu: int):

@@ -28,6 +28,7 @@ import numpy as np
 from .arith import BudgetError, PrimeTable, factorize, small_primes
 from .legendre import density_product, dimension_fit
 from .problem import (
+    _PROFILE_Z,
     DIVISOR_CAP,
     SieveProblem,
     _Profile,
@@ -36,7 +37,6 @@ from .problem import (
     divisor_tally,
     exact_sift,
     factor_count_sieve,
-    in_profile_window,
 )
 from .reports import BoundReport, field_row
 
@@ -166,10 +166,10 @@ class IdentityReport:
 
 
 def buchstab_check(problem: SieveProblem, z0: int, z: int) -> IdentityReport:
-    """|S(A,z)| = |S(A,z0)| - sum over z0 <= p < z of |S(A_p, p)|, exactly, off ``profile_below(z)``."""
+    """|S(A,z)| = |S(A,z0)| - sum over z0 <= p < z of |S(A_p, p)|, exactly, off the profile of the primes below z."""
     if not 2 <= z0 <= z:
         raise ValueError("need 2 <= z0 <= z")
-    prof = problem.profile_below(z)
+    prof = problem.profile(problem.sifting_primes(z))
     lhs = prof.sift_count(z)
     total = prof.sift_count(z0)
     drops = {}
@@ -184,7 +184,7 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
 
     rhs = sum of mu(d) rho(d) |S(A_d, z0)| + (-1)^r sum of sigma(d) |S(A_d, p(d))|
     over squarefree d built from the window primes; dropping the sigma sum
-    leaves a one-sided bound.  Every count is read off ``profile_below(z)``.
+    leaves a one-sided bound.  Every count is read off ``profile(sifting_primes(z))``.
     The density analogue is checked in exact rationals alongside, summed in
     ints over omega(d)/d = n_d/L: V(z0) sum mu(d) n_d / L plus the sum over
     p of V(p) S_p / L, S_p the sum of n_d over sigma divisors of least prime
@@ -193,7 +193,7 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
     if not 2 <= z0 <= z:
         raise ValueError("need 2 <= z0 <= z")
     primes = problem.sifting_primes(z, z0)
-    prof = problem.profile_below(z)
+    prof = problem.profile(problem.sifting_primes(z))
     lhs = prof.sift_count(z)
     L, n_of = density_numerators(problem.density, primes)
     rho_sum = sigma_sum = n_rho = 0
@@ -426,7 +426,7 @@ def parity_extremal(x: int, z: int, r: int) -> ParityExtremalReport:
     weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
     primes = problem.sifting_primes(z)
     # every z in the window reads one shared profile; a wider one lives for this call only
-    prof = _parity_window(x, r) if in_profile_window(z) else problem.profile_below(z)
+    prof = _parity_window(x, r) if z <= _PROFILE_Z else problem.profile(primes)
     exact = prof.sift_count(z)
     rho_sum = 0
     sigma_sum = 0

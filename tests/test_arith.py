@@ -1,6 +1,9 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from functools import cache
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -138,6 +141,26 @@ def test_sieve_allocates_nothing_of_limit_size():
 def test_budget_guard():
     with mock.patch.object(arith, "DEFAULT_LIMIT_CAP", 10**6), pytest.raises(BudgetError):
         primes_up_to(10**7)
+
+
+def test_small_primes_refused_past_its_cap_before_sieving():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            small_primes(arith.SMALL_PRIMES_CAP + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves li alone and is imported on its first call
+    src = str(Path(__file__).parents[1] / "src")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import sievekit.cli; "
+             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def mobius_oracle(n):

@@ -244,6 +244,35 @@ def test_budget_exit_3(capsys):
     assert main(["sift", "--problem", "twin", "--x", "1e30", "--z", "2"]) == 3
 
 
+def test_sift_past_the_small_primes_cap_exit_3(capsys):
+    # small_primes(10^9) would hold 50.8M Python ints; it is refused before sieving
+    assert main(["sift", "--problem", "interval", "--x", "5", "--y", "5", "--z", "1e9"]) == 3
+    assert "small_primes" in capsys.readouterr().err
+
+
+def test_sievefun_step_0_exit_2(capsys):
+    assert main(["sievefun", "--step", "0"]) == 2
+    assert "--step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("D", ["nan", "0"])
+def test_rosser_D_not_positive_exit_2(D, capsys):
+    assert main(["bound", "--method", "rosser", "--problem", "twin", "--x", "1e4", "--z", "10", "--D", D]) == 2
+    captured = capsys.readouterr()
+    assert "--D" in captured.err and captured.out == ""
+
+
+def test_lsieve_negative_trials_exit_2(capsys):
+    assert main(["lsieve", "--trials", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err and captured.out == ""
+
+
+def test_lsieve_Q_below_2_exit_2(capsys):
+    assert main(["lsieve", "--Q", "1"]) == 2
+    assert "--Q" in capsys.readouterr().err
+
+
 def test_integers_beyond_int64(capsys):
     code, out = run(["sift", "--problem", "interval", "--x", "1e30", "--y", "5", "--z", "2,3",
                      "--format", "json"], capsys)
@@ -305,6 +334,12 @@ GOLDENS += [
      "bound_brun-pure_shifted_prime.csv", 0),
     ("sift --problem progression --x 10000 --k 6 --l 5 --z 2,15,53,54,60".split(), "sift_progression.csv", 0),
     ("sift --problem progression --x 10000 --k 1 --l 0 --z 2,15,53,54,60".split(), "sift_progression_k1.csv", 0),
+]
+# the explicit kinds' sifted counts on both sides of the window, past the lookup-table
+# runs and at lone primes above 512; written by the CLI before those kinds shared the block kernel
+GOLDENS += [
+    ("sift --problem parity --x 10000 --r 1 --z 2,15,53,54,60,100,1000".split(), "sift_parity.csv", 0),
+    ("sift --problem shifted_prime --x 10000 --z 2,15,53,54,60,100,1000".split(), "sift_shifted_prime.csv", 0),
 ]
 # Legendre and Rosser on the explicit kinds, written by the CLI before Legendre's
 # total became one fold of the profile and parity's sigma terms read the profile

@@ -13,7 +13,7 @@ from sievekit.problem import (
     ResidueSystem,
     SiftingDensity,
     _Profile,
-    _value_histogram,
+    _Values,
     build_problem,
     count_in_class,
     divisor_walk,
@@ -22,19 +22,7 @@ from sievekit.problem import (
     problem_from_config,
 )
 
-from reference import plain_sieve
-
-
-def brute_sift(values, z, d=1):
-    """Independent oracle: pure-python divisibility scan."""
-    count = 0
-    zp = [p for p in range(2, z) if all(p % q for q in range(2, p))]
-    for v in values:
-        if v % d:
-            continue
-        if all(v % p for p in zp):
-            count += 1
-    return count
+from reference import brute_sift, plain_sieve, survivors, value_histogram_per_prime
 
 
 def test_interval_builder_matches_stated_shape():
@@ -369,14 +357,6 @@ def test_count_multiple_refuses_a_square_divisor(kind, params, table):
 # -- value profile kernel --------------------------------------------------------
 
 
-def value_histogram_per_prime(values, primes):
-    """The kernel the grouped lookup replaced: one ``values % p`` pass per prime."""
-    masks = np.zeros(len(values), dtype=np.int64)
-    for i, p in enumerate(primes):
-        masks |= (values % p == 0).astype(np.int64) << i
-    return np.bincount(masks, minlength=1 << len(primes)).astype(np.int64)
-
-
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # 2 * 131071 and 4 * 65521 fit under 2^18, one more factor does not;
 # 262147 is the least prime above 2^18, so it always forms a run of its own
@@ -399,9 +379,40 @@ VALUES = st.lists(
 @example(np.arange(-10**4, 10**4, dtype=np.int64), small_primes(100))
 @settings(max_examples=150, deadline=None)
 def test_value_histogram_matches_per_prime_kernel(values, primes):
-    got = _value_histogram(values, primes)
+    got = _Values(lambda: values).histogram(primes)
     assert got.dtype == np.int64
     assert np.array_equal(got, value_histogram_per_prime(values, primes))
+
+
+def _kernel_sources(N):
+    """An explicit source and an interval's residue form, each of N elements across int64."""
+    rng = np.random.default_rng(N)
+    vals = rng.integers(-(10**9), 10**9, size=N)
+    vals[::5] *= 17 * 19 * 23
+    vals[1::11] = rng.integers(-(10**6), 10**6, size=len(vals[1::11])) * 262147
+    edges = [min(i, N - 1) for i in (0, 1, 2**18 - 2, 2**18 - 1, 2**18, N - 1)]  # both sides of the first block edge
+    vals[edges] = [0, -1, INT64_MIN, INT64_MAX, 30030 * 521, -510510]
+    # Omega(p) = {0}: an index lies in a class exactly when p divides it
+    classes = ResidueSystem({p: (0,) for p in small_primes(1000) + KERNEL_PRIMES})
+    forms = [OmegaForm(M, N, classes) for M in (INT64_MIN, -(N // 2), INT64_MAX - N + 1)]
+    return [_Values(lambda: vals), *forms]
+
+
+# the window's primes (lookup-table runs) and four lone ones: k = 19, so the histogram's block is 2^19
+KERNEL_PRIMES = small_primes(53) + (521, 65521, 131071, 262147)
+
+
+@pytest.mark.parametrize("N", [2**18 - 1, 2**18, 2**18 + 1])
+def test_both_sources_match_a_per_prime_scan_at_block_edges(N):
+    for src in _kernel_sources(N):
+        vals = src.values()
+        for primes in (small_primes(53), KERNEL_PRIMES):
+            assert np.array_equal(src.histogram(primes), value_histogram_per_prime(vals, primes)), (N, len(primes))
+        # 521 and 523 are lone primes of the explicit kernel; the residue sieve has no such case
+        for z in (2, 53, 60, 530) if isinstance(src, _Values) else (2, 53, 60):
+            keep = survivors(vals, small_primes(z))
+            assert src.sift_count(z) == np.count_nonzero(keep), (N, z)
+            assert np.array_equal(src.survivor_mask(z), keep), (N, z)
 
 
 @pytest.mark.parametrize("z", [2, 3, 14, 30, 53, 60, 80])
@@ -416,9 +427,13 @@ def test_explicit_kind_profiles_match_per_prime_kernel(table, z):
     ]
     primes = small_primes(z)
     for prob in problems:
-        # a profile keeps the superset sums of its histogram, which determine it
-        want = _Profile._superset_sum(value_histogram_per_prime(prob.values(), primes))
-        assert np.array_equal(prob.profile(primes)._superset, want), (prob.kind, z)
+        # a profile keeps the superset sums of its histogram, which determine it;
+        # primes below 53 map to the window profile, so the reference is over its primes
+        prof = prob.profile(primes)
+        assert prof.primes == (primes if z > 53 else small_primes(53)), (prob.kind, z)
+        want = _Profile._superset_sum(value_histogram_per_prime(prob.values(), prof.primes))
+        assert np.array_equal(prof._superset, want), (prob.kind, z)
+        assert np.array_equal(prob.source.histogram(primes), value_histogram_per_prime(prob.values(), primes))
         if z == 53:
             assert np.array_equal(prob.profile()._superset, want), prob.kind
 

@@ -11,8 +11,10 @@ from sievekit import problem as problem_mod
 from sievekit.arith import mobius, small_primes
 from sievekit.brun import PureSieveConfig, exact_indicator, truncated_indicator
 from sievekit.largesieve import farey_points, hilbert_ls_check
-from sievekit.problem import _PROFILE_Z, ResidueSystem, _Profile, _value_histogram, build_problem, exact_sift
+from sievekit.problem import _PROFILE_Z, ResidueSystem, _Profile, build_problem, exact_sift
 from sievekit.selberg import G_sum, H_factor
+
+from reference import survivors, value_histogram_per_prime
 
 
 @given(st.integers(1, 5000), st.integers(1, 5000))
@@ -116,11 +118,9 @@ def test_block_sieve_matches_value_divisibility(data):
         scan = [all(v % p == 0 for p in d_primes) and all(v % p for p in sifting) for v in vals.tolist()]
         assert prob.profile(tuple(sorted({*sifting, *d_primes}))).sift_count(z, d_primes) == sum(scan)
         assert np.array_equal(prob.profile()._superset,
-                              _Profile._superset_sum(_value_histogram(vals, small_primes(_PROFILE_Z))))
+                              _Profile._superset_sum(value_histogram_per_prime(vals, small_primes(_PROFILE_Z))))
         in_window = [p for p in d_primes if p < _PROFILE_Z]
         assert prob.profile().count_multiple(in_window) == sum(all(v % p == 0 for p in in_window) for v in vals.tolist())
-        keep = np.ones(len(vals), dtype=bool)
-        for p in sifting:
-            keep &= vals % p != 0
+        keep = survivors(vals, sifting)
         assert np.array_equal(prob.omega_form().survivor_mask(z), keep)
         assert exact_sift(prob, z) == int(np.count_nonzero(keep))

@@ -3,7 +3,6 @@ import math
 import weakref
 from dataclasses import fields
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +31,8 @@ from sievekit.rosser import (
     twin_constant,
     weight_walk,
 )
+
+from reference import divisibility, masked_sift_count, reference_sift_count
 
 
 # -- weight tables ----------------------------------------------------------
@@ -196,26 +197,6 @@ def test_truncation_inequalities():
         truncation_inequality_check(100.0, 2.0, 0, 20)
 
 
-@lru_cache(maxsize=1)
-def _divisibility(problem):
-    """Per prime below 64, which element values it divides, and the values free of every smaller prime."""
-    vals = problem.values()
-    divisible, rough, free = {}, {}, np.ones(len(vals), dtype=bool)
-    for p in small_primes(64):
-        divisible[p], rough[p] = vals % p == 0, free.copy()
-        free &= ~divisible[p]
-    return divisible, rough
-
-
-def reference_sift_count(problem, w, d_primes):
-    """|S(A_d, w)|, w a prime below 64, from the values: the masks of the primes of d ANDed with the w-rough ones."""
-    divisible, rough = _divisibility(problem)
-    keep = rough[w].copy()
-    for p in d_primes:
-        keep &= divisible[p]
-    return int(np.count_nonzero(keep))
-
-
 def reference_buchstab_check(problem, z0, z):
     """The per-item Buchstab check: every count is its own scan of the values."""
     lhs = exact_sift(problem, z)
@@ -284,7 +265,7 @@ def test_counts_sifted_by_no_prime_read_the_superset_table():
     prob = build_problem("twin", {"x": 2 * 10**4})
     assert rosser_identity(prob, 2, 60, RosserWeightTable(D=1e6, beta=2.0, r=1)).holds
     assert buchstab_check(prob, 2, 60).holds
-    prof = prob.profile_below(60)
+    prof = prob.profile(prob.sifting_primes(60))
     assert prof._sifted[0] is prof._superset
 
 
@@ -461,20 +442,12 @@ def test_parity_extremal_sigma_terms_above_window_match_oracle_calls(z):
     x = 10**6
     for r in (0, 1):
         prob = build_problem("parity", {"x": x, "r": r})
-        vals = prob.values()
-        divisible = {p: vals % p == 0 for p in small_primes(z)}
-        rough, free = {}, np.ones(len(vals), dtype=bool)  # rough[p]: no prime below p divides the value
-        for p in small_primes(z):
-            rough[p] = free.copy()
-            free &= ~divisible[p]
+        masks = divisibility(prob.values(), small_primes(z))
         weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
         want = 0
         for tag, _, f, _ in weight_walk(small_primes(z), weights):
             if tag == "sigma":
-                keep = rough[f[-1]].copy()
-                for p in f:
-                    keep &= divisible[p]
-                want += int(np.count_nonzero(keep))
+                want += masked_sift_count(masks, f[-1], f)
         rep = parity_extremal(x, z, r)
         assert rep.sigma_sum == want > 0, (z, r)
         assert rep.full_identity_exact

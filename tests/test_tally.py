@@ -14,6 +14,8 @@ from sievekit.problem import SiftingDensity, build_problem, divisor_tally, divis
 from sievekit.reports import BoundReport
 from sievekit.rosser import RosserWeightTable, default_sieve_functions, linear_sieve_bound, weight_walk
 
+from reference import count_multiples
+
 TABLE = primes_up_to(3000)
 
 
@@ -36,7 +38,7 @@ def reference_dimension_fit(density, z1, z2):
 
 def reference_remainder(problem, d, factors):
     """R_d = |A_d| - (omega(d)/d) X, with |A_d| from a scan of the element values."""
-    count = int(np.count_nonzero(problem.values() % d == 0))
+    count = count_multiples(problem.values(), d)
     return count - problem.density.omega_d(factors) / d * problem.X
 
 
