@@ -11,6 +11,8 @@ Conventions fixed here:
 * twin primes are counted as *pairs*, indexed by the smaller member.
 * ``k = 1`` is accepted in progression counts with ``phi(1) = 1``; the
   residue class is then the full sequence.
+* ``factorize`` is trial division, so it runs only on integers a caller
+  hands in: a divisor the package builds from primes keeps them.
 """
 
 from __future__ import annotations
@@ -190,44 +192,23 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FactoredSquarefree:
-    """A squarefree integer with its prime factors listed in descending order."""
-
-    value: int
-    prime_factors: tuple[int, ...]
-    nu: int
-
-    def __post_init__(self):
-        prod = 1
-        for p in self.prime_factors:
-            prod *= p
-        if prod != self.value or len(set(self.prime_factors)) != self.nu:
-            raise ValueError("inconsistent squarefree factorization")
-        if list(self.prime_factors) != sorted(self.prime_factors, reverse=True):
-            raise ValueError("prime factors must be descending")
-
-
-def factor_squarefree(n: int) -> FactoredSquarefree:
-    """Factor a squarefree n; raises ValueError if n has a squared factor."""
+def factor_squarefree(n: int) -> tuple[int, ...]:
+    """The primes of a squarefree n, descending; raises ValueError if n has a squared factor."""
     factors = factorize(n)
     if any(e > 1 for _, e in factors):
         raise ValueError(f"{n} is not squarefree")
-    descending = tuple(sorted((p for p, _ in factors), reverse=True))
-    return FactoredSquarefree(n, descending, len(descending))
+    return tuple(p for p, _ in reversed(factors))
 
 
-def truncated_mobius(m: FactoredSquarefree, ell: int) -> int:
-    """Sum of mu(d) over divisors d of m with at most ``ell`` prime factors.
+def truncated_mobius(nu: int, ell: int) -> int:
+    """Sum of mu(d) over the divisors d with at most ``ell`` primes of a squarefree m with ``nu`` primes.
 
-    For m > 1 the closed form (-1)^ell * C(nu(m) - 1, ell) holds; the sum
-    form below keeps the two routes independent for testing.
+    It is 1 at nu = 0; for nu >= 1 the closed form (-1)^ell * C(nu - 1, ell)
+    holds, and the sum form below keeps the two routes independent for testing.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    if m.value <= 1:
-        raise ValueError("m must exceed 1")
-    return sum((-1) ** j * math.comb(m.nu, j) for j in range(min(ell, m.nu) + 1))
+    return sum((-1) ** j * math.comb(nu, j) for j in range(min(ell, nu) + 1))
 
 
 def pi_count(table: PrimeTable, x: int, variant: str = "plain", *, k: int | None = None, l: int | None = None) -> int:

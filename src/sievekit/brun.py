@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import small_primes
+from .arith import small_primes, truncated_mobius
 from .problem import SieveProblem, build_problem, divisor_tally, divisor_walk, exact_sift
 from .reports import BoundReport, field_row
 
@@ -39,8 +39,7 @@ def truncated_indicator(n: int, config: PureSieveConfig) -> int:
     """Sum of mu(d) over d | (n, P(z)) with nu(d) at most the parity cutoff."""
     if n < 1:
         raise ValueError("n must be positive")
-    r = sum(1 for p in small_primes(config.z) if n % p == 0)
-    return sum((-1) ** j * math.comb(r, j) for j in range(min(config.cutoff, r) + 1))
+    return truncated_mobius(sum(1 for p in small_primes(config.z) if n % p == 0), config.cutoff)
 
 
 def exact_indicator(n: int, z: int) -> int:

@@ -129,6 +129,9 @@ def cmd_bound(args) -> int:
 def cmd_lsieve(args) -> int:
     if args.trials < 0 or args.Q < 2:
         raise ValueError(f"lsieve needs --trials >= 0 and --Q >= 2, got {args.trials} and {args.Q}")
+    least_N = {"hilbert": 0, "linnik": 10, "duality": 10, "all": 10}.get(args.suite, 4)  # the shortest vector drawn
+    if args.N < least_N:
+        raise ValueError(f"lsieve --suite {args.suite} needs --N >= {least_N}, got {args.N}")
     rng = np.random.default_rng(args.seed)
     rows = []
     suites = ("additive", "dual", "hilbert", "multiplicative", "linnik", "duality")
@@ -179,8 +182,9 @@ def cmd_lsieve(args) -> int:
 
 
 def cmd_sievefun(args) -> int:
-    if not 0 < args.step < float("inf"):
-        raise ValueError(f"--step must be a finite number > 0, got {args.step}")
+    for flag, value in (("--step", args.step), ("--tau-max", args.tau_max)):
+        if not 0 < value < float("inf"):
+            raise ValueError(f"{flag} must be a finite number > 0, got {value}")
     table = solve_sieve_functions(tau_max=args.tau_max, step=args.step)
     _emit(table.rows(), args)
     return 0

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .arith import BudgetError, euler_phi, factorize
+from .arith import BudgetError, divisors, euler_phi, factorize
 from .problem import _LUT_MODULUS
 
 IDENT_RTOL = 1e-9
@@ -398,7 +398,7 @@ def _build_character_table(q: int) -> CharacterTable:
     vals = np.where(exps >= 0, roots[np.maximum(exps, 0)], 0.0)
     # conductor: the least f | q on whose units n = 1 (mod f) the character is trivial
     conductors = np.full(len(units), q, dtype=np.int64)
-    for f in sorted((d for d in range(1, q) if q % d == 0), reverse=True):
+    for f in reversed(divisors(q)[:-1]):
         trivial = np.all(unit_exps[:, (units - 1) % f == 0] == 0, axis=1)
         conductors[trivial] = f
     phases = np.exp(2j * np.pi * np.arange(q) / q)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import primes_up_to, small_primes
 from .problem import SieveProblem, SiftingDensity
 
@@ -30,52 +32,41 @@ class SieveDecomposition:
 
 
 def density_product(density: SiftingDensity, z: int) -> Fraction:
-    """V(z, omega) = prod over p < z of (1 - omega(p)/p), exact."""
+    """V(z, omega) = prod over p < z of (1 - omega(p)/p), exact: prod (b_p - a_p) / prod b_p (``fractions``)."""
     if z < 2:
         raise ValueError("z must be >= 2")
-    out = Fraction(1)
-    for p in small_primes(z):
-        out *= 1 - density.omega(p) / p
-    return out
+    a, b = density.fractions(np.array(small_primes(z), dtype=np.int64))
+    return Fraction(math.prod((b - a).tolist()), math.prod(b.tolist()))
 
 
 def density_product_float(density: SiftingDensity, z: int) -> float:
     """Float-precision V(z, omega) for asymptotic comparisons at large z.
 
-    With omega(p) = a_p/b_p, each factor 1 - omega(p)/p is the one division
-    (p b_p - a_p) / (p b_p) of integers, which is correctly rounded, and the
-    factors are multiplied left to right, so the float is bit-identical to
-    the ``Fraction`` chain.  A density with a bulk rule (``omega_array``:
-    the affine kinds, unit and zero) forms every factor (p - w) / p at once
-    in NumPy; its integers lie far below 2^53, so each division is exact
-    before its one rounding, as in Python.
+    With omega(p)/p = a_p/b_p (``SiftingDensity.fractions``), each factor
+    1 - omega(p)/p is the one division (b_p - a_p) / b_p of integers, which
+    is correctly rounded (in NumPy for int64 pairs, far below 2^53, and in
+    Python for Python ints), and the factors are multiplied left to right,
+    so the float is bit-identical to the ``Fraction`` chain.
     """
     if z < 2:
         raise ValueError("z must be >= 2")
-    ps = primes_up_to(z).primes
-    w = density.omega_array(ps)
-    if w is not None:
-        factors = ((ps - w) / ps).tolist()
-    else:
-        factors = []
-        for p in ps.tolist():
-            w = density.omega(p)
-            pb = p * w.denominator
-            factors.append((pb - w.numerator) / pb)
-    return math.prod(factors, start=1.0)
+    a, b = density.fractions(primes_up_to(z).primes)
+    return math.prod(((b - a) / b).tolist(), start=1.0)
 
 
 def legendre_decompose(problem: SieveProblem, z: int) -> SieveDecomposition:
     """Evaluate the exact sieve identity at level z.
 
     The total is the signed sum of mu(d) |A_d| over the squarefree divisors
-    d of P(z) with nonzero density (the others contribute empty classes),
-    folded from the superset table of the problem's profile, so the count
-    is exact.  The profile raises BudgetError, before allocating, when its
-    2^pi(z) entries exceed the divisor cap.
+    d of P(z) with nonzero density (the others contribute empty classes):
+    the count sifted by those primes, read off the problem's profile over
+    them, so it is exact.  A profile prime outside them is inert and, as
+    ``sifting_primes`` checked, divides no element.  The profile raises
+    BudgetError, before allocating, when its 2^pi(z) entries exceed the
+    divisor cap.
     """
     primes = problem.sifting_primes(z)
-    total = problem.profile(primes).mobius_sum(primes)
+    total = problem.profile(primes).sift_count(z)
     main = density_product(problem.density, z) * problem.X
     return SieveDecomposition(main, Fraction(total) - main, total)
 

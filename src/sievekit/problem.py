@@ -69,17 +69,14 @@ def _as_fraction(x) -> Fraction:
 class SiftingDensity:
     """Multiplicative density: omega(p) removed residue classes per prime p.
 
-    ``kappa`` is the declared dimension.  omega extends multiplicatively to
-    squarefree d; values are exact rationals.  ``counts``, when given, is
-    the same rule in bulk for a density with integer omega: omega(p) over
-    an int64 array of primes (``omega_array``).
+    omega extends multiplicatively to squarefree d; values are exact
+    rationals.  ``counts``, when given, is the same rule in bulk for a
+    density with integer omega: omega(p) over an int64 array of primes.
     """
 
-    def __init__(self, rule: Callable[[int], Fraction], kappa: float,
-                 counts: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, rule: Callable[[int], Fraction], counts: Callable[[np.ndarray], np.ndarray] | None = None):
         self._rule = rule
         self._counts = counts
-        self.kappa = kappa
         self._memo: dict[int, Fraction] = {}
         self._fits: dict[tuple[int, int], float] = {}  # dimension_fit results by (z1, z2)
 
@@ -92,20 +89,25 @@ class SiftingDensity:
             self._memo[p] = w
         return w
 
-    def omega_array(self, ps: np.ndarray) -> np.ndarray | None:
-        """omega(p) for each prime of the int64 array ``ps``, in one call; None without a bulk rule.
+    def fractions(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) with omega(p)/p = a_p/b_p for each prime of the int64 array ``ps``.
 
-        Each value is checked 0 <= omega(p) < p, as ``omega`` checks it,
-        and none is memoised.
+        A bulk rule gives int64 arrays with b = ps, each value checked
+        0 <= omega(p) < p as ``omega`` checks it and none memoised.  Without
+        one, a_p is the numerator of omega(p) and b_p is p times its
+        denominator, in object arrays of Python ints, so no b_p can overflow.
         """
-        if self._counts is None:
-            return None
-        w = self._counts(ps)
-        bad = np.flatnonzero((w < 0) | (w >= ps))
-        if len(bad):
-            i = bad[0]
-            raise ValueError(f"omega({ps[i]}) = {w[i]} violates 0 <= omega(p) < p")
-        return w
+        if self._counts is not None:
+            w = self._counts(ps)
+            bad = np.flatnonzero((w < 0) | (w >= ps))
+            if len(bad):
+                i = bad[0]
+                raise ValueError(f"omega({ps[i]}) = {w[i]} violates 0 <= omega(p) < p")
+            return w, ps
+        memo = self._memo  # hits are read directly: a call to omega per prime would be most of the cost
+        pairs = ((memo[p] if p in memo else self.omega(p)).as_integer_ratio() for p in ps.tolist())
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=object, count=2 * len(ps))
+        return flat[0::2], flat[1::2] * ps.astype(object)  # a_p, and b_p = p times the denominator of omega(p)
 
     def omega_d(self, d_primes) -> Fraction:
         out = Fraction(1)
@@ -114,12 +116,12 @@ class SiftingDensity:
         return out
 
     @staticmethod
-    def unit(kappa: float = 1.0) -> "SiftingDensity":
-        return SiftingDensity(lambda p: Fraction(1), kappa, np.ones_like)
+    def unit() -> "SiftingDensity":
+        return SiftingDensity(lambda p: Fraction(1), np.ones_like)
 
     @staticmethod
     def zero() -> "SiftingDensity":
-        return SiftingDensity(lambda p: Fraction(0), 0.0, np.zeros_like)
+        return SiftingDensity(lambda p: Fraction(0), np.zeros_like)
 
 
 @dataclass(frozen=True)
@@ -354,14 +356,6 @@ class _Profile:
     def count_multiple(self, d_primes) -> int:
         return int(self._superset[self.bits_of(d_primes)])
 
-    def mobius_sum(self, d_primes) -> int:
-        """Sum of mu(e) |A_e| over e | d, folded from the superset table top bit first."""
-        bits, f = self.bits_of(d_primes), self._superset
-        for i in reversed(range(len(self.primes))):
-            lo, hi = f.reshape(2, -1)
-            f = lo - hi if bits >> i & 1 else lo
-        return int(f[0])
-
     def sift_count(self, w: int, d_primes=()) -> int:
         """#{a in A : d | a, a has no prime factor below w (within the window)}.
 
@@ -473,7 +467,7 @@ class SieveProblem:
         Without them d is factored here, and a d that is not squarefree raises ValueError.
         """
         if d_primes is None:
-            d_primes = factor_squarefree(d).prime_factors
+            d_primes = factor_squarefree(d)
         return self.source.count_multiple(d_primes)
 
     def omega_form(self) -> OmegaForm:
@@ -548,11 +542,11 @@ class _AffineClasses(dict):
         return self[p]
 
 
-def _affine_problem(kind: str, params: dict, X: Fraction, kappa: float, M: int, N: int, element=None) -> SieveProblem:
+def _affine_problem(kind: str, params: dict, X: Fraction, M: int, N: int, element=None) -> SieveProblem:
     """An affine problem over the indices [M, M+N), its classes given by the kind's rule, its values by ``element``."""
     # The density keeps its own calls to the rule, and dimension_fit reads its
     # bulk form far past any prime the oracle sifts by: those classes need no keeping.
-    dens = SiftingDensity(lambda p: Fraction(len(_affine_classes(kind, params, p))), kappa,
+    dens = SiftingDensity(lambda p: Fraction(len(_affine_classes(kind, params, p))),
                           lambda ps: _affine_class_counts(kind, params, ps))
     form = OmegaForm(M, N, ResidueSystem(_AffineClasses(kind, params)), element)
     return SieveProblem(kind, params, X, dens, form)
@@ -570,24 +564,24 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         x, y = int(params["x"]), int(params["y"])
         if not 2 <= y <= x:
             raise ValueError("interval needs 2 <= y <= x")
-        return _affine_problem(kind, {"x": x, "y": y}, Fraction(y), 1.0, x - y + 1, y)
+        return _affine_problem(kind, {"x": x, "y": y}, Fraction(y), x - y + 1, y)
     if kind == "twin":
         x = int(params["x"])
         if x < 5:
             raise ValueError("twin needs x >= 5")
-        return _affine_problem(kind, {"x": x}, Fraction(x), 2.0, 1, x - 3, lambda t: t * (t + 2))
+        return _affine_problem(kind, {"x": x}, Fraction(x), 1, x - 3, lambda t: t * (t + 2))
     if kind == "goldbach":
         N = int(params["N"])
         if N < 8 or N % 2:
             raise ValueError("goldbach needs even N >= 8")
-        return _affine_problem(kind, {"N": N}, Fraction(N), 2.0, 3, N - 5, lambda t: t * (N - t))
+        return _affine_problem(kind, {"N": N}, Fraction(N), 3, N - 5, lambda t: t * (N - t))
     if kind == "shifted_prime":
         x = int(params["x"])
         if table is None or table.limit < x + 2:
             raise ValueError("shifted_prime needs a prime table reaching x + 2")
         ps = table.primes_below(x)
         vals = (ps[ps >= 3] + 2).astype(np.int64)
-        dens = SiftingDensity(lambda p: Fraction(0) if p == 2 else Fraction(p, p - 1), 1.0)
+        dens = SiftingDensity(lambda p: Fraction(0) if p == 2 else Fraction(p, p - 1))
         return SieveProblem(kind, {"x": x}, Fraction(li(x)), dens, _Values(lambda: vals))
     if kind == "progression":
         x, k, l = int(params["x"]), int(params["k"]), int(params["l"])
@@ -598,7 +592,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         l = l % k if k > 1 else 0
         first = l or k  # the least n >= 1 in the class
         count = (x - 1 - first) // k + 1 if first < x else 0
-        return _affine_problem(kind, {"x": x, "k": k, "l": l}, Fraction(x, k), 1.0,
+        return _affine_problem(kind, {"x": x, "k": k, "l": l}, Fraction(x, k),
                                (first - l) // k if count else 0, count, lambda t: l + k * t)
     if kind == "parity":
         x, r = int(params["x"]), int(params["r"])
@@ -608,10 +602,10 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
             raise BudgetError(f"parity x={x} exceeds enumeration cap")
         # n < x whose prime divisors, counted with multiplicity, number r mod 2
         source = _Values(lambda: np.flatnonzero((factor_count_sieve(x)[1:] & 1) == r).astype(np.int64) + 1)
-        return SieveProblem(kind, {"x": x, "r": r}, Fraction(x, 2), SiftingDensity.unit(1.0), source)
+        return SieveProblem(kind, {"x": x, "r": r}, Fraction(x, 2), SiftingDensity.unit(), source)
     if kind == "custom":
         vals = np.asarray(params["elements"], dtype=np.int64)
-        dens = params.get("density") or SiftingDensity.unit(1.0)
+        dens = params.get("density") or SiftingDensity.unit()
         X = _as_fraction(params.get("X", len(vals)))
         return SieveProblem(kind, {"n_elements": len(vals)}, X, dens, _Values(lambda: vals))
     raise ValueError(f"unknown kind {kind!r}")
@@ -648,16 +642,17 @@ def factor_count_sieve(x: int) -> np.ndarray:
 
 def count_in_class(problem: SieveProblem, d: int) -> tuple[int, Fraction]:
     """(|A_d|, remainder): exact count and its deviation from (omega(d)/d) X."""
-    d_primes = factor_squarefree(d).prime_factors
+    d_primes = factor_squarefree(d)
     count = problem.count_multiple(d, d_primes)
     main = problem.density.omega_d(d_primes) / d * problem.X
     return count, Fraction(count) - main
 
 
 def density_numerators(density: SiftingDensity, primes) -> tuple[int, Callable[[tuple[int, ...]], int]]:
-    """(L, n) with omega(d)/d = n(factors)/L, an int, for d over ``primes``; L = prod of p b_p, omega(p) = a_p/b_p."""
-    ab = {p: (density.omega(p).numerator, p * density.omega(p).denominator) for p in primes}
-    L = math.prod(pb for _, pb in ab.values())
+    """(L, n) with omega(d)/d = n(factors)/L, an int, for d over ``primes``; L = prod of b_p, omega(p)/p = a_p/b_p."""
+    a, b = density.fractions(np.array(primes, dtype=np.int64))
+    ab = dict(zip(primes, zip(a.tolist(), b.tolist())))
+    L = math.prod(b.tolist())
 
     def n(factors) -> int:
         a = pb = 1

@@ -43,6 +43,7 @@ from .reports import BoundReport, field_row
 EULER = 0.5772156649015329
 TWO_E_EULER = 2 * math.exp(EULER)
 LINEAR_SLACK = 0.1  # relative slack of the linear-sieve verdict, for the o(1) terms of phi_r
+SIEVE_GRID_ROWS = 10**6  # most tau rows of one sieve-function table; the default table has 1.2e4
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +306,15 @@ def solve_sieve_functions(tau_max: float = 10.0, step: float = 1e-3) -> SieveFun
     A row's trapezoid reads rows one unit of tau back, so each block of
     1/step rows is one ``np.cumsum`` over earlier rows, which adds in order:
     the table equals a row-by-row loop's to the bit.  Raises when the
-    (2, 4] closed forms disagree beyond 1e-6.
+    (2, 4] closed forms disagree beyond 1e-6.  Raises BudgetError, before
+    any allocation, past ``SIEVE_GRID_ROWS`` rows (tau_max / step).
     """
     if step > 1e-3 * (1 + 1e-9):
         raise ValueError("step must be at most 1e-3")
     if tau_max > 20:
         raise ValueError("tau_max capped at 20")
+    if tau_max / step > SIEVE_GRID_ROWS:
+        raise BudgetError(f"tau_max / step = {tau_max / step:.3g} grid rows exceed the cap {SIEVE_GRID_ROWS}")
     m = round(1 / step)
     h = 1.0 / m
     n = int(round(tau_max * m))

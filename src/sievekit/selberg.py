@@ -9,6 +9,9 @@ implemented and checked against each other exactly.
 
 Weights are supported on squarefree d < z composed of primes carrying a
 nonempty residue set; primes with empty residue sets do not participate.
+Each d keeps the primes it was built from (``LambdaWeights.primes``), so
+no kernel factors a d again: trial division runs only on integers a
+caller hands in (``invert_xi``'s keys, ``ramanujan_sum``, ``psi_value``).
 
 Two generalizations are noted but out of scope here: twisting the kernel
 rows by primitive Dirichlet characters (multiplying psi_q(n) by
@@ -29,7 +32,7 @@ from functools import cache
 
 import numpy as np
 
-from .arith import BudgetError, divisors, mobius, prime_factors, small_primes
+from .arith import BudgetError, divisors, factor_squarefree, factorize, mobius, small_primes
 from .problem import OmegaForm, ResidueSystem, SieveProblem
 from .reports import BoundReport
 
@@ -67,13 +70,16 @@ def G_sum(z: int, residues: ResidueSystem) -> Fraction:
 
 @dataclass(frozen=True)
 class LambdaWeights:
-    """Optimal quadratic-form weights lambda(d) for d < z, with their G."""
+    """Optimal quadratic-form weights lambda(d) for d < z, with their G and the ascending primes of each d."""
 
     z: int
     values: dict[int, Fraction]
     G: Fraction
+    primes: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
+        if not self.values.keys() <= self.primes.keys():
+            raise ValueError("every weighted d needs its primes")
         if self.values.get(1) != 1:
             raise ValueError("lambda(1) must be 1")
         if any(abs(v) > 1 for v in self.values.values()):
@@ -85,6 +91,8 @@ class LambdaWeights:
 
 def optimal_lambda(z: int, residues: ResidueSystem) -> LambdaWeights:
     """Closed-form minimizer of the sieve quadratic form, exact rationals."""
+    if z < 2:
+        raise ValueError("z must be >= 2")
     qs = _supported_squarefree(z, residues)
     H = {q: H_factor(fac, residues) for q, fac in qs}
     G = sum(H.values(), Fraction(0))
@@ -99,7 +107,7 @@ def optimal_lambda(z: int, residues: ResidueSystem) -> LambdaWeights:
             Fraction(0),
         )
         values[d] = mu * lift * tail / G
-    return LambdaWeights(z=z, values=values, G=G)
+    return LambdaWeights(z=z, values=values, G=G, primes=dict(qs))
 
 
 def _numerators(weights: LambdaWeights) -> tuple[int, list[tuple[int, int]]]:
@@ -116,7 +124,7 @@ def _lcm_terms(weights: LambdaWeights) -> tuple[int, int, list[tuple[list[int], 
     new lcm takes the merged primes of d1 and d2, so no lcm is factored.
     """
     D, items = _numerators(weights)
-    rows = [(d, prime_factors(d), n) for d, n in items]
+    rows = [(d, weights.primes[d], n) for d, n in items]
     coeff: dict[int, int] = {}
     facs: dict[int, list[int]] = {}
     for i, (d1, f1, n1) in enumerate(rows):
@@ -139,28 +147,22 @@ def xi_transform(weights: LambdaWeights, residues: ResidueSystem) -> dict[int, F
 
     xi(f) = sum over d < z, f | d of (|Omega(d)|/d) lambda(d).
     """
-    out: dict[int, Fraction] = {}
-    items = [(d, lam) for d, lam in weights.values.items()]
-    for f in weights.values:
-        total = Fraction(0)
-        for d, lam in items:
-            if d % f == 0:
-                total += Fraction(residues.size_d(prime_factors(d)), d) * lam
-        out[f] = total
-    return out
+    terms = [(d, Fraction(residues.size_d(weights.primes[d]), d) * lam) for d, lam in weights.values.items()]
+    return {f: sum((t for d, t in terms if d % f == 0), Fraction(0)) for f in weights.values}
 
 
 def invert_xi(xi: dict[int, Fraction], residues: ResidueSystem, z: int) -> dict[int, Fraction]:
     """Inverse transform recovering lambda from xi, exact."""
     out: dict[int, Fraction] = {}
     supported = sorted(xi)
+    facs = {d: factorize(d) for d in supported}  # each key factored once
+    mu = {g: 0 if any(e > 1 for _, e in f) else (-1) ** len(f) for g, f in facs.items()}
     for d in supported:
-        dfac = prime_factors(d)
         total = Fraction(0)
         for g in supported:
             if d * g < z and math.gcd(d, g) == 1 and d * g in xi:
-                total += mobius(g) * xi[d * g]
-        out[d] = Fraction(d, residues.size_d(dfac)) * total
+                total += mu[g] * xi[d * g]
+        out[d] = Fraction(d, residues.size_d(p for p, _ in facs[d])) * total
     return out
 
 
@@ -234,7 +236,7 @@ def dual_coefficient_sum(weights: LambdaWeights, residues: ResidueSystem) -> Fra
     """
     D, items = _numerators(weights)
     L = math.lcm(*(d for d, _ in items))
-    roots = {d: residues.roots_mod(prime_factors(d)) for d, _ in items}
+    roots = {d: residues.roots_mod(weights.primes[d]) for d, _ in items}
 
     @cache
     def reduced(d, g):  # the roots of d mod g, with their multiplicities
@@ -255,7 +257,7 @@ def dual_coefficient_sum(weights: LambdaWeights, residues: ResidueSystem) -> Fra
 
 def dual_b_values(weights: LambdaWeights, residues: ResidueSystem) -> tuple[list[Fraction], np.ndarray]:
     """Farey points a/q (q < z supported) and complex coefficients b(a/q)."""
-    roots = {d: residues.roots_mod(prime_factors(d)) for d in weights.values}
+    roots = {d: residues.roots_mod(weights.primes[d]) for d in weights.values}
     points: list[Fraction] = []
     values: list[complex] = []
     for q, _fac in _supported_squarefree(weights.z, residues):
@@ -335,9 +337,7 @@ def psi_value(q: int, n: int, residues: ResidueSystem) -> float:
     The kernel multiplies -1/H(p) over primes p | q whose residue set
     contains n; q must be squarefree with supported primes.
     """
-    if mobius(q) == 0:
-        raise ValueError("q must be squarefree")
-    fac = prime_factors(q)
+    fac = sorted(factor_squarefree(q))  # ValueError on a q that is not squarefree
     out = (-1) ** len(fac) * math.sqrt(H_factor(fac, residues))
     for p in fac:
         if n % p in residues.classes[p]:
@@ -435,7 +435,7 @@ def _weight_identity_check(weights, residues, qs, H, member, primes) -> None:
     for pattern in np.unique(pattern_bits):
         inside = {p for i, p in enumerate(primes) if pattern >> i & 1}
         lhs = sum(
-            (lam for d, lam in weights.values.items() if all(p in inside for p in prime_factors(d))),
+            (lam for d, lam in weights.values.items() if inside.issuperset(weights.primes[d])),
             Fraction(0),
         )
         rhs = Fraction(0)

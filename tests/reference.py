@@ -84,3 +84,11 @@ def _problem_divisibility(problem):
 def reference_sift_count(problem, w, d_primes):
     """|S(A_d, w)|, w a prime below 64, from the problem's values (their masks kept for the last problem asked)."""
     return masked_sift_count(_problem_divisibility(problem), w, d_primes)
+
+
+# -- density products ---------------------------------------------------------
+
+
+def density_factors(density, z):
+    """The factors 1 - omega(p)/p over the primes p < z, one Fraction each from the density's per-prime ``omega``."""
+    return [1 - density.omega(p) / p for p in plain_sieve(z).tolist()]

@@ -199,10 +199,12 @@ def test_mobius_against_oracle_to_1e5():
 
 
 def test_truncated_mobius_examples():
-    m = factor_squarefree(30)
-    assert truncated_mobius(m, 0) == 1
-    assert truncated_mobius(m, 1) == -2
-    assert truncated_mobius(m, 3) == 0
+    nu = len(factor_squarefree(30))
+    assert truncated_mobius(nu, 0) == 1
+    assert truncated_mobius(nu, 1) == -2
+    assert truncated_mobius(nu, 3) == 0
+    # m = 1 has the one divisor 1
+    assert all(truncated_mobius(0, ell) == 1 for ell in range(4))
 
 
 def test_truncated_mobius_identity_exhaustive():
@@ -210,15 +212,15 @@ def test_truncated_mobius_identity_exhaustive():
     for n in range(2, 10**4 + 1):
         if mobius(n) == 0:
             continue
-        m = factor_squarefree(n)
-        for ell in range(m.nu + 1):
-            expected = (-1) ** ell * math.comb(m.nu - 1, ell)
+        nu = len(factor_squarefree(n))
+        for ell in range(nu + 1):
+            expected = (-1) ** ell * math.comb(nu - 1, ell)
             # independent route: enumerate divisors directly
             direct = 0
-            for bits in range(1 << m.nu):
+            for bits in range(1 << nu):
                 if bin(bits).count("1") <= ell:
                     direct += (-1) ** bin(bits).count("1")
-            assert truncated_mobius(m, ell) == expected == direct
+            assert truncated_mobius(nu, ell) == expected == direct
 
 
 def test_factor_squarefree_rejects_squares():

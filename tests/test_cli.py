@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from sievekit import cli
+from sievekit.arith import BudgetError
 from sievekit.cli import main
+from sievekit.rosser import solve_sieve_functions
 
 
 def run(argv, capsys):
@@ -253,6 +256,23 @@ def test_sift_past_the_small_primes_cap_exit_3(capsys):
 def test_sievefun_step_0_exit_2(capsys):
     assert main(["sievefun", "--step", "0"]) == 2
     assert "--step" in capsys.readouterr().err
+    assert main(["sievefun", "--tau-max", "nan"]) == 2
+    assert "--tau-max" in capsys.readouterr().err
+
+
+def test_sievefun_grid_refused_before_allocating(capsys):
+    # 2e8 rows at step 1e-7 would take several GB; 1e-300 and 5e-324 would overflow the row count
+    for step in ("1e-7", "1e-300", "5e-324"):
+        assert main(["sievefun", "--tau-max", "20", "--step", step]) == 3
+        assert "grid rows" in capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            solve_sieve_functions(tau_max=20, step=1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 @pytest.mark.parametrize("D", ["nan", "0"])
@@ -271,6 +291,15 @@ def test_lsieve_negative_trials_exit_2(capsys):
 def test_lsieve_Q_below_2_exit_2(capsys):
     assert main(["lsieve", "--Q", "1"]) == 2
     assert "--Q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, N", [("all", 9), ("additive", 3), ("dual", 3), ("multiplicative", 3),
+                                      ("linnik", 9), ("duality", 9)])
+def test_lsieve_N_below_the_shortest_vector_exit_2(suite, N, capsys):
+    assert main(["lsieve", "--suite", suite, "--N", str(N)]) == 2
+    captured = capsys.readouterr()
+    assert "--N" in captured.err and captured.out == ""
+    assert main(["lsieve", "--suite", suite, "--N", str(N + 1), "--trials", "2"]) == 0
 
 
 def test_integers_beyond_int64(capsys):

@@ -8,15 +8,18 @@ from sievekit.arith import BudgetError, primes_up_to, small_primes
 from sievekit.legendre import (
     EXP_MINUS_EULER,
     density_product,
+    density_product_float,
     dimension_fit,
     legendre_decompose,
     mertens_compare,
 )
-from sievekit.problem import SiftingDensity, build_problem, exact_sift
+from sievekit.problem import SiftingDensity, build_problem, density_numerators, exact_sift
+
+from reference import density_factors, plain_sieve
 
 
 def twin_density():
-    return SiftingDensity(lambda p: Fraction(1 if p == 2 else 2), 2.0)
+    return SiftingDensity(lambda p: Fraction(1 if p == 2 else 2))
 
 
 def test_density_product_examples():
@@ -30,6 +33,35 @@ def test_density_product_monotone():
     vals = [density_product(dens, z) for z in range(2, 60)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert density_product(dens, 4) > density_product(dens, 6)
+
+
+DENSITIES = {
+    "interval": lambda: build_problem("interval", {"x": 100, "y": 90}).density,
+    "twin": lambda: build_problem("twin", {"x": 100}).density,
+    "goldbach": lambda: build_problem("goldbach", {"N": 2 * 3 * 5 * 53}).density,
+    "progression": lambda: build_problem("progression", {"x": 100, "k": 6 * 53, "l": 1}).density,
+    "shifted_prime": lambda: build_problem("shifted_prime", {"x": 100}, table=primes_up_to(103)).density,
+    "unit": SiftingDensity.unit,
+    "zero": SiftingDensity.zero,
+    # omega(p) = 1/2^70, so every b_p = p 2^70 lies past the int64 range
+    "tiny": lambda: SiftingDensity(lambda p: Fraction(1, 2**70)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSITIES))
+def test_density_products_match_per_prime_chain(name):
+    density = DENSITIES[name]()
+    for z in (2, 3, 53, 54, 1000):
+        factors = density_factors(density, z)
+        assert density_product(density, z) == math.prod(factors, start=Fraction(1)), z
+        chain = 1.0
+        for f in factors:
+            chain *= float(f)
+        assert density_product_float(density, z).hex() == chain.hex(), z
+        primes = tuple(plain_sieve(z).tolist())
+        L, n = density_numerators(density, primes)
+        assert [Fraction(n((p,)), L) for p in primes] == [1 - f for f in factors], z
+        assert Fraction(n(primes), L) == math.prod((1 - f for f in factors), start=Fraction(1)), z
 
 
 def test_decompose_interval_30():
@@ -49,7 +81,7 @@ def test_decompose_z2_is_trivial():
 
 
 def _inert_at(q):
-    return SiftingDensity(lambda p: Fraction(0) if p == q else Fraction(1), 1.0)
+    return SiftingDensity(lambda p: Fraction(0) if p == q else Fraction(1))
 
 
 def test_inert_prime_dividing_an_element_raises():

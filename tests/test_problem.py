@@ -311,7 +311,7 @@ def test_residue_system_validation():
 
 
 def test_density_validation():
-    dens = SiftingDensity(lambda p: Fraction(p), 1.0)
+    dens = SiftingDensity(lambda p: Fraction(p))
     with pytest.raises(ValueError):
         dens.omega(3)
 

@@ -235,7 +235,7 @@ def _identity_problem(kind, table):
     if kind == "custom":
         # 7 is inert (omega(7) = 0) and divides no element; the density is fractional, and so is X
         elements = [n for n in range(1, 4000) if n % 7]
-        density = SiftingDensity(lambda p: Fraction(0) if p == 7 else Fraction(2 * p, 2 * p + 1), 1.0)
+        density = SiftingDensity(lambda p: Fraction(0) if p == 7 else Fraction(2 * p, 2 * p + 1))
         return build_problem("custom", {"elements": elements, "density": density, "X": Fraction(6857, 2)})
     params = {"interval": {"x": 6000, "y": 5000}, "twin": {"x": 4000}, "goldbach": {"N": 4000},
               # 3 divides k, so it is inert for the progression

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from sievekit.problem import OmegaForm, ResidueSystem, build_problem, exact_sift
 from sievekit.selberg import (
     G_sum,
     H_factor,
-    LambdaWeights,
     _true_remainder,
     dual_b_values,
     dual_coefficient_sum,
@@ -131,7 +131,7 @@ def test_perturbed_weights_increase_form():
     S_opt = quadratic_form(w, rs)
     bumped = dict(w.values)
     bumped[2] += Fraction(1, 10)
-    S_pert = quadratic_form(LambdaWeights(z=10, values=bumped, G=w.G), rs)
+    S_pert = quadratic_form(replace(w, values=bumped), rs)
     assert S_pert > S_opt
 
 
@@ -146,7 +146,7 @@ def test_minimality_against_random_admissible():
         for _ in range(100):
             vals = {d: Fraction(rng.randint(-100, 100), 100) for d in support}
             vals[1] = Fraction(1)
-            S = quadratic_form(LambdaWeights(z=z, values=vals, G=w.G), rs)
+            S = quadratic_form(replace(w, values=vals), rs)
             assert S >= S_opt
 
 
@@ -174,10 +174,19 @@ def test_xi_round_trip_random():
     for _ in range(20):
         vals = {d: Fraction(rng.randint(-50, 50), 50) for d in support}
         vals[1] = Fraction(1)
-        w = LambdaWeights(z=20, values=vals, G=w0.G)
+        w = replace(w0, values=vals)
         xi = xi_transform(w, rs)
         back = invert_xi(xi, rs, 20)
         assert back == vals
+
+
+def test_weights_refuse_z_below_2():
+    with pytest.raises(ValueError, match="z must be >= 2"):
+        optimal_lambda(1, zero_system(10))
+    prob = build_problem("twin", {"x": 1000})
+    for bound, z in ((selberg_upper_bound, 1), (linnik_bound, 0)):
+        with pytest.raises(ValueError, match="z must be >= 2"):
+            bound(prob, z)
 
 
 def test_selberg_upper_bound_interval():
@@ -451,7 +460,7 @@ def test_integer_kernels_equal_fraction_loops(kind):
         assert _true_remainder(form, w) == reference_true_remainder(form, w), (kind, z)
         assert dual_coefficient_sum(w, form.residues) == reference_dual_coefficient_sum(w, form.residues) == S
         bumped = {d: lam * Fraction(9, 10) if d > 1 else lam for d, lam in w.values.items()}
-        wb = LambdaWeights(z=z, values=bumped, G=w.G)
+        wb = replace(w, values=bumped)
         Sb = quadratic_form(wb, form.residues)
         assert Sb == reference_quadratic_form(wb, form.residues) == dual_coefficient_sum(wb, form.residues)
         assert _true_remainder(form, wb) == reference_true_remainder(form, wb), (kind, z)
@@ -483,7 +492,7 @@ def test_integer_kernels_on_random_residue_systems(zrs, M, N, data):
     z, rs = zrs
     w = optimal_lambda(z, rs)
     vals = {d: Fraction(data.draw(st.integers(-100, 100)), 100) if d > 1 else Fraction(1) for d in w.values}
-    for weights in (w, LambdaWeights(z=z, values=vals, G=w.G)):
+    for weights in (w, replace(w, values=vals)):
         S = quadratic_form(weights, rs)
         assert S == reference_quadratic_form(weights, rs) == dual_coefficient_sum(weights, rs)
         assert S == reference_dual_coefficient_sum(weights, rs)

@@ -115,7 +115,7 @@ def _problem(data):
         elements = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=300))
         density = SiftingDensity(
             lambda p: Fraction(0) if p % (m + 2) == 1 and all(e % p for e in elements)
-            else Fraction(u * p, (u + v) * p - 1), 1.0)
+            else Fraction(u * p, (u + v) * p - 1))
         params = {"elements": elements, "density": density,
                   "X": Fraction(data.draw(st.integers(1, 10**6)), data.draw(st.integers(1, 97)))}
     return build_problem(kind, params, table=TABLE)
@@ -300,7 +300,7 @@ def test_profile_threshold_past_the_cap_is_never():
 def test_bulk_density_counts_checked_like_omega():
     # a bulk rule breaking 0 <= omega(p) < p raises ValueError, as omega(p) does
     for bad in (lambda p: p, lambda p: -1):
-        density = SiftingDensity(lambda p: Fraction(bad(p)), 1.0, lambda ps: np.vectorize(bad)(ps))
+        density = SiftingDensity(lambda p: Fraction(bad(p)), lambda ps: np.vectorize(bad)(ps))
         with pytest.raises(ValueError, match="violates"):
             density.omega(7)
         with pytest.raises(ValueError, match="violates"):
@@ -313,5 +313,6 @@ def test_bulk_density_counts_checked_like_omega():
         prob = build_problem(kind, params)
         ps = primes_up_to(1000).primes
         want = [len(prob.omega_form().residues.classes[p]) for p in ps.tolist()]
-        assert prob.density.omega_array(ps).tolist() == want, kind
-    assert build_problem("shifted_prime", {"x": 100}, table=TABLE).density.omega_array(ps) is None
+        assert prob.density.fractions(ps)[0].tolist() == want, kind
+    # a density with no bulk rule answers in Python ints
+    assert build_problem("shifted_prime", {"x": 100}, table=TABLE).density.fractions(ps)[0].dtype == object
