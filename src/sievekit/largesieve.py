@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .arith import BudgetError, divisors, euler_phi, factorize
-from .problem import _LUT_MODULUS
+from .problem import _LUT_MODULUS, _add_periodic
 
 IDENT_RTOL = 1e-9
 INEQ_SLACK = 1e-12
@@ -110,17 +110,6 @@ def _phase_groups(points: SeparatedPoints, M: int, N: int):
             r = (M % q + r) % q
         a = np.array([fracs[j].numerator % q for j in rows], dtype=np.int64)
         yield rows, np.exp(2j * np.pi * (a[:, None] * r % q) / q)
-
-
-def _add_periodic(values: np.ndarray, period: np.ndarray, M: int) -> None:
-    """values[i] += period[(M + i) mod q] in place, q = len(period): a head, whole periods, a tail."""
-    q, N = len(period), len(values)
-    s = M % q
-    head = min(q - s, N)
-    values[:head] += period[s:s + head]
-    k = (N - head) // q
-    values[head:head + k * q].reshape(k, q)[...] += period
-    values[head + k * q:] += period[:N - head - k * q]
 
 
 def additive_ls_check(points: SeparatedPoints, coefficients, M: int = 0):

@@ -19,10 +19,10 @@ Every count is over one divisibility pattern of the elements, marked in
 blocks by the kernel of the problem's one source.  The affine kinds
 (interval, twin, goldbach, progression) hold an ``OmegaForm``: an index
 interval and one rule for the forbidden index classes Omega(p)
-(``_affine_classes``), struck as strided slices; omega(p) = |Omega(p)|
-and |A_d| is a CRT count.  The explicit kinds hold ``_Values``, an int64
-array marked by residue lookup tables.  Histograms, sifted counts and
-survivor masks are written once over the kernel (``_Source``).
+(``_affine_classes``), one periodic table for the first run of primes
+(``_lut_runs``) and strided slices for the rest; omega(p) = |Omega(p)|,
+|A_d| is a CRT count.  The explicit kinds' ``_Values`` has a table per run.
+``_Source`` writes histograms, sifted counts and survivor masks once.
 
 Many |A_d| at once come from one divisibility profile (``_Profile``,
 ``SieveProblem.profile``): the superset sums of the pattern over a set of
@@ -55,7 +55,7 @@ ORACLE_ELEMENT_CAP = 2 * 10**7
 DIVISOR_CAP = 1 << 25  # most squarefree divisors one walk, or entries one profile, may hold
 _PROFILE_Z = 53  # oracle profiles cover sifting primes below this bound
 _BLOCK = 1 << 18  # fewest element positions per block of a source's marking kernel
-_LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of the explicit kernel spans
+_LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of a marking kernel spans
 # Costs behind ``SieveProblem.profile_threshold``, in ns, measured on a shared 2-core x86 VM:
 _NS_ELEMENT = 5  # one element in one pass of a profile build, or in a values % d scan
 _NS_ENTRY_BIT = 1  # one profile entry in one prime's step of the superset sum
@@ -166,6 +166,35 @@ class ResidueSystem:
         return roots
 
 
+def _lut_runs(marks, dtype, classes: Callable[[int], tuple[int, ...]]):
+    """Yield (run, lut) per greedy run of ``marks``: primes in order while their product m stays <= ``_LUT_MODULUS``.
+
+    lut[s], s < m, holds the bits of the run's p with s mod p in ``classes(p)``; a lone prime's lut is None.
+    """
+    i = 0
+    while i < len(marks):
+        j = i + 1
+        while j < len(marks) and math.prod(p for p, _ in marks[i:j + 1]) <= _LUT_MODULUS:
+            j += 1
+        run, i = marks[i:j], j
+        lut = np.zeros(math.prod(p for p, _ in run), dtype=dtype) if len(run) > 1 else None
+        for p, bit in run if lut is not None else ():
+            for r in classes(p):
+                lut[r::p] |= bit
+        yield run, lut
+
+
+def _add_periodic(values: np.ndarray, period: np.ndarray, M: int) -> None:
+    """values[i] += period[(M + i) mod q] in place, q = len(period): a head, whole periods, a tail."""
+    q, N = len(period), len(values)
+    s = M % q
+    head = min(q - s, N)
+    values[:head] += period[s:s + head]
+    k = (N - head) // q
+    values[head:head + k * q].reshape(k, q)[...] += period
+    values[head + k * q:] += period[:N - head - k * q]
+
+
 class _Source:
     """A problem's elements: ``N``, ``values()``, ``count_multiple`` and one marking kernel.
 
@@ -214,10 +243,10 @@ class _Source:
 class OmegaForm(_Source):
     """Interval [M, M+N) sifted by forbidden residue classes.
 
-    p divides the element at index n when n lies in Omega(p), so the kernel
-    strikes each class r mod p of a block as ``buf[(r - start) % p :: p]``.
-    No element value is formed, so indices past 2^63 are fine; ``element``
-    maps int64 indices to the values ``values()`` returns (default: the indices).
+    p divides the element at index n when n lies in Omega(p).  The kernel adds
+    the first run's table (period m) at offset (M + lo) mod m and strikes each
+    class r of the other primes as ``buf[(r - start) % p :: p]``, forming no
+    value, so indices pass 2^63; ``element``, if set, maps int64 indices to ``values()``.
     """
 
     M: int
@@ -226,11 +255,14 @@ class OmegaForm(_Source):
     element: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def _marker(self, marks, dtype):
-        struck = [(p, bit, self.residues.classes.get(p, ())) for p, bit in marks]
+        run, lut = next(_lut_runs(marks, dtype, lambda p: self.residues.classes.get(p, ())), ((), None))
+        struck = [(p, bit, self.residues.classes.get(p, ())) for p, bit in marks[0 if lut is None else len(run):]]
 
         def mark(lo: int, hi: int) -> np.ndarray:
             buf = np.zeros(hi - lo, dtype=dtype)
             start = self.M + lo
+            if lut is not None:
+                _add_periodic(buf, lut, start)
             for p, bit, res in struck:
                 for r in res:
                     buf[(r - start) % p :: p] |= bit
@@ -258,13 +290,12 @@ class OmegaForm(_Source):
 class _Values(_Source):
     """Explicit element values as an int64 array, formed by ``make`` on first use and kept.
 
-    The kernel takes the primes in greedy runs whose product m stays at
-    most ``_LUT_MODULUS`` (2^18), e.g. 2*3*5*7*11*13 = 30030 and 43*47.
-    p | v exactly when p | (v mod m), so a table of m entries holding, at
-    residue s, the bits of the run's primes dividing s marks the run with
-    one ``values % m`` and one lookup per block (NumPy's ``%`` by m > 0 is
-    non-negative for every int64).  A prime too large to share a run is
-    tested on its own.
+    The kernel marks each greedy run of primes (``_lut_runs``, e.g.
+    2*3*5*7*11*13 = 30030), of product m, by one ``values % m`` and one
+    lookup in its table per block: p | v exactly when p | (v mod m), and
+    NumPy's ``%`` by m > 0 is non-negative for every int64.  A prime too
+    large to share a run is tested alone, in a sift (one bit) only on the
+    values still unmarked.
     """
 
     def __init__(self, make: Callable[[], np.ndarray]):
@@ -281,29 +312,24 @@ class _Values(_Source):
         return self._values
 
     def _marker(self, marks, dtype):
-        values, runs, i = self.values(), [], 0
-        while i < len(marks):
-            j, m = i + 1, marks[i][0]
-            while j < len(marks) and m * marks[j][0] <= _LUT_MODULUS:
-                m *= marks[j][0]
-                j += 1
-            if j == i + 1:
-                runs.append((m, marks[i][1]))
-            else:
-                lut = np.zeros(m, dtype=dtype)
-                for p, bit in marks[i:j]:
-                    lut[::p] |= bit
-                runs.append((m, lut))
-            i = j
+        values, runs = self.values(), list(_lut_runs(marks, dtype, lambda p: (0,)))
+        tables = [lut for _, lut in runs if lut is not None]
+        lone = [run[0] for run, lut in runs if lut is None]
+        sift = len({bit for _, bit in marks}) == 1  # one bit for every mark: a survivor count or mask
 
         def mark(lo: int, hi: int) -> np.ndarray:
             v = values[lo:hi]
             buf = np.zeros(hi - lo, dtype=dtype)
-            for m, lut in runs:
-                if isinstance(lut, int):  # a lone prime, with its bit
-                    np.bitwise_or(buf, lut, out=buf, where=v % m == 0)
-                else:
-                    buf |= lut[v % m]
+            for lut in tables:
+                buf |= lut[v % len(lut)]
+            if lone:  # a marked position stays marked, so in a sift each prime tests the unmarked ones only
+                idx = np.flatnonzero(buf == 0) if sift else np.arange(len(v))
+                rest = v[idx]
+                for p, bit in lone:
+                    hit = rest % p == 0
+                    buf[idx[hit]] |= bit
+                    if sift:
+                        idx, rest = idx[~hit], rest[~hit]
             return buf
 
         return mark

@@ -311,8 +311,8 @@ def solve_sieve_functions(tau_max: float = 10.0, step: float = 1e-3) -> SieveFun
     """
     if step > 1e-3 * (1 + 1e-9):
         raise ValueError("step must be at most 1e-3")
-    if tau_max > 20:
-        raise ValueError("tau_max capped at 20")
+    if not math.isfinite(tau_max) or tau_max > 20:
+        raise ValueError(f"tau_max must be finite and at most 20, got {tau_max}")
     if tau_max / step > SIEVE_GRID_ROWS:
         raise BudgetError(f"tau_max / step = {tau_max / step:.3g} grid rows exceed the cap {SIEVE_GRID_ROWS}")
     m = round(1 / step)

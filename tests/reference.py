@@ -58,6 +58,31 @@ def value_histogram_per_prime(values, primes):
     return np.bincount(masks, minlength=1 << len(primes)).astype(np.int64)
 
 
+def _in_classes(M, N, classes, p):
+    """The mask of the indices n in [M, M+N) with n mod p in ``classes[p]``, by one residue per index; M may pass int64."""
+    residues = (np.arange(N, dtype=np.int64) + M % p) % p
+    held = np.zeros(N, dtype=bool)
+    for r in classes.get(p, ()):
+        held |= residues == r
+    return held
+
+
+def class_histogram(M, N, classes, primes):
+    """Counts of the indices n in [M, M+N) by the set of ``primes`` whose ``classes`` hold n (bit i for primes[i]), one scan per prime."""
+    masks = np.zeros(N, dtype=np.int64)
+    for i, p in enumerate(primes):
+        masks |= _in_classes(M, N, classes, p).astype(np.int64) << i
+    return np.bincount(masks, minlength=1 << len(primes)).astype(np.int64)
+
+
+def class_survivors(M, N, classes, primes):
+    """The mask of the indices n in [M, M+N) that no prime of ``primes`` holds in its ``classes``, one scan per prime."""
+    keep = np.ones(N, dtype=bool)
+    for p in primes:
+        keep &= ~_in_classes(M, N, classes, p)
+    return keep
+
+
 def divisibility(values, primes):
     """Per prime p of the ascending ``primes``: the values p divides, and the values no smaller one of them divides."""
     divisible, rough, free = {}, {}, np.ones(len(values), dtype=bool)

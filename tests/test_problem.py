@@ -22,7 +22,9 @@ from sievekit.problem import (
     problem_from_config,
 )
 
-from reference import brute_sift, plain_sieve, survivors, value_histogram_per_prime
+from reference import (
+    brute_sift, class_histogram, class_survivors, plain_sieve, survivors, value_histogram_per_prime,
+)
 
 
 def test_interval_builder_matches_stated_shape():
@@ -385,34 +387,61 @@ def test_value_histogram_matches_per_prime_kernel(values, primes):
 
 
 def _kernel_sources(N):
-    """An explicit source and an interval's residue form, each of N elements across int64."""
+    """An explicit source of N values across int64, and residue forms of N indices with their classes.
+
+    The forms' first run of marks (primes whose product stays within 2^18)
+    holds one class per prime (interval), two (twin), one where 3 * 5 | N
+    (goldbach) and none where p | k = 30 (progression).  Their starts M are
+    0, 1 and 30029 mod 30030, at both int64 extremes, across 0 and 2^63,
+    and near 10^30; each N pairs the shapes with the starts differently.
+    """
     rng = np.random.default_rng(N)
     vals = rng.integers(-(10**9), 10**9, size=N)
     vals[::5] *= 17 * 19 * 23
     vals[1::11] = rng.integers(-(10**6), 10**6, size=len(vals[1::11])) * 262147
     edges = [min(i, N - 1) for i in (0, 1, 2**18 - 2, 2**18 - 1, 2**18, N - 1)]  # both sides of the first block edge
     vals[edges] = [0, -1, INT64_MIN, INT64_MAX, 30030 * 521, -510510]
-    # Omega(p) = {0}: an index lies in a class exactly when p divides it
-    classes = ResidueSystem({p: (0,) for p in small_primes(1000) + KERNEL_PRIMES})
-    forms = [OmegaForm(M, N, classes) for M in (INT64_MIN, -(N // 2), INT64_MAX - N + 1)]
-    return [_Values(lambda: vals), *forms]
+    G = 30 * 100003  # a goldbach N with 3 * 5 | G
+    rules = [
+        lambda p: (0,),  # interval: an index lies in a class exactly when p divides it
+        lambda p: (0,) if p == 2 else (0, p - 2),  # twin
+        lambda p: (0, G % p) if G % p else (0,),  # goldbach
+        lambda p: () if 30 % p == 0 else (-7 * pow(30, -1, p) % p,),  # progression 7 mod 30
+    ]
+    big = 10**30 - 10**30 % 30030
+    starts = (0, 30029, big + 1, big - 1, INT64_MIN, -(N // 2), 2**63 - N // 2, INT64_MAX - N + 1)
+    forms = []
+    for i, M in enumerate(starts):
+        rule = rules[(i + N) % len(rules)]
+        classes = {p: rule(p) for p in small_primes(62) + KERNEL_PRIMES}
+        forms.append((OmegaForm(M, N, ResidueSystem(classes)), classes))
+    return _Values(lambda: vals), forms
 
 
 # the window's primes (lookup-table runs) and four lone ones: k = 19, so the histogram's block is 2^19
 KERNEL_PRIMES = small_primes(53) + (521, 65521, 131071, 262147)
 
 
-@pytest.mark.parametrize("N", [2**18 - 1, 2**18, 2**18 + 1])
+@pytest.mark.parametrize("N", [1, 30029, 30030, 30031, 2**18 - 1, 2**18, 2**18 + 1])
 def test_both_sources_match_a_per_prime_scan_at_block_edges(N):
-    for src in _kernel_sources(N):
-        vals = src.values()
-        for primes in (small_primes(53), KERNEL_PRIMES):
-            assert np.array_equal(src.histogram(primes), value_histogram_per_prime(vals, primes)), (N, len(primes))
-        # 521 and 523 are lone primes of the explicit kernel; the residue sieve has no such case
-        for z in (2, 53, 60, 530) if isinstance(src, _Values) else (2, 53, 60):
-            keep = survivors(vals, small_primes(z))
-            assert src.sift_count(z) == np.count_nonzero(keep), (N, z)
-            assert np.array_equal(src.survivor_mask(z), keep), (N, z)
+    explicit, forms = _kernel_sources(N)
+    vals = explicit.values()
+    for primes in (small_primes(53), KERNEL_PRIMES):
+        assert np.array_equal(explicit.histogram(primes), value_histogram_per_prime(vals, primes)), (N, len(primes))
+    # 521 and up are lone primes of the explicit kernel; past them a sift tests only the unmarked values
+    for z in (2, 53, 60, 530, 1000):
+        keep = survivors(vals, small_primes(z))
+        assert explicit.sift_count(z) == np.count_nonzero(keep), (N, z)
+        assert np.array_equal(explicit.survivor_mask(z), keep), (N, z)
+    for form, classes in forms:
+        # the first run is 2..13 (30030) for the window's primes, and all of (53, 59, 61) alone
+        for primes in (small_primes(53), KERNEL_PRIMES, (53, 59, 61)):
+            want = class_histogram(form.M, N, classes, primes)
+            assert np.array_equal(form.histogram(primes), want), (N, form.M, primes)
+        for z in (2, 53, 60):
+            keep = class_survivors(form.M, N, classes, small_primes(z))
+            assert form.sift_count(z) == np.count_nonzero(keep), (N, form.M, z)
+            assert np.array_equal(form.survivor_mask(z), keep), (N, form.M, z)
 
 
 @pytest.mark.parametrize("z", [2, 3, 14, 30, 53, 60, 80])

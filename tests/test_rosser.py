@@ -367,6 +367,10 @@ def test_step_guard():
         with pytest.raises(ValueError, match="tau_max must exceed 2"):
             solve_sieve_functions(tau_max=tau_max)
     assert len(solve_sieve_functions(tau_max=2.001).taus) == 2001
+    # NaN fails every comparison, so the cap and the grid-row count alone would let it through
+    for tau_max in (float("nan"), float("inf"), -float("inf"), 20.5):
+        with pytest.raises(ValueError, match="tau_max must be finite and at most 20"):
+            solve_sieve_functions(tau_max=tau_max)
 
 
 def test_csv_round_trip(tmp_path, functions):
