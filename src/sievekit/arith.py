@@ -223,9 +223,11 @@ def pi_count(table: PrimeTable, x: int, variant: str = "plain", *, k: int | None
     if variant == "twin":
         if x + 2 > table.limit:
             raise ValueError(f"table limit {table.limit} too small for twin count at x={x}")
-        # p and p + 2 both prime means consecutive primes two apart
-        k = table.count_below(x)
-        return int(np.count_nonzero(np.diff(table.primes[: k + 1]) == 2))
+        # p and p + 2 both prime means consecutive primes two apart; the gaps are
+        # taken _SEGMENT at a time, each piece overlapping the next by one prime
+        ps = table.primes[: table.count_below(x) + 1]
+        return sum(int(np.count_nonzero(np.diff(ps[lo:lo + _SEGMENT + 1]) == 2))
+                   for lo in range(0, len(ps) - 1, _SEGMENT))
     if variant == "progression":
         if k is None or l is None:
             raise ValueError("progression counts need k and l")

@@ -19,9 +19,11 @@ Every count is over one divisibility pattern of the elements, marked in
 blocks by the kernel of the problem's one source.  The affine kinds
 (interval, twin, goldbach, progression) hold an ``OmegaForm``: an index
 interval and one rule for the forbidden index classes Omega(p)
-(``_affine_classes``), one periodic table for the first run of primes
-(``_lut_runs``) and strided slices for the rest; omega(p) = |Omega(p)|,
-|A_d| is a CRT count.  The explicit kinds' ``_Values`` has a table per run.
+(``_affine_classes``), a periodic table for each run of primes dense
+enough to pay for one (``_lut_runs``: period at most the positions
+marked, strike density sum |Omega(p)|/p at least ``_LUT_DENSITY``) and
+strided slices for the rest; omega(p) = |Omega(p)|, |A_d| is a CRT count.
+The explicit kinds' ``_Values`` has a table per run.
 ``_Source`` writes histograms, sifted counts and survivor masks once.
 
 Many |A_d| at once come from one divisibility profile (``_Profile``,
@@ -56,6 +58,10 @@ DIVISOR_CAP = 1 << 25  # most squarefree divisors one walk, or entries one profi
 _PROFILE_Z = 53  # oracle profiles cover sifting primes below this bound
 _BLOCK = 1 << 18  # fewest element positions per block of a source's marking kernel
 _LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of a marking kernel spans
+# Least strike density sum |Omega(p)|/p of a run a strided kernel tabulates.  On a shared
+# 2-core x86 VM, ORing a table into a 2^18 block took 15-20 us (uint8) and 20-25 us (uint16),
+# about what striking the run's classes took at density 0.03 and 0.045.
+_LUT_DENSITY = 0.05
 # Costs behind ``SieveProblem.profile_threshold``, in ns, measured on a shared 2-core x86 VM:
 _NS_ELEMENT = 5  # one element in one pass of a profile build, or in a values % d scan
 _NS_ENTRY_BIT = 1  # one profile entry in one prime's step of the superset sum
@@ -166,33 +172,52 @@ class ResidueSystem:
         return roots
 
 
-def _lut_runs(marks, dtype, classes: Callable[[int], tuple[int, ...]]):
-    """Yield (run, lut) per greedy run of ``marks``: primes in order while their product m stays <= ``_LUT_MODULUS``.
+def _lut_runs(marks, dtype, classes: Callable[[int], tuple[int, ...]], positions: int | None = None):
+    """(tables, rest): a (run, lut) per tabulated greedy run of ``marks``, and the (p, bit, classes(p)) of no table.
 
-    lut[s], s < m, holds the bits of the run's p with s mod p in ``classes(p)``; a lone prime's lut is None.
+    A greedy run takes primes in order while their product m stays <= ``_LUT_MODULUS``;
+    lut[s], s < m, holds the bits of the run's p with s mod p in ``classes(p)``.  A lone
+    prime gets no table.  Nor, for a strided kernel over ``positions`` positions, does a
+    run whose table would not pay: m past ``positions``, or a strike density
+    sum |classes(p)|/p below ``_LUT_DENSITY``; that is decided before any table is
+    built.  A lookup kernel (``positions`` None) tabulates every run.
     """
-    i = 0
+    tables, rest, i = [], [], 0
     while i < len(marks):
-        j = i + 1
-        while j < len(marks) and math.prod(p for p, _ in marks[i:j + 1]) <= _LUT_MODULUS:
+        j, m = i + 1, marks[i][0]
+        while j < len(marks) and m * marks[j][0] <= _LUT_MODULUS:
+            m *= marks[j][0]
             j += 1
-        run, i = marks[i:j], j
-        lut = np.zeros(math.prod(p for p, _ in run), dtype=dtype) if len(run) > 1 else None
-        for p, bit in run if lut is not None else ():
-            for r in classes(p):
+        if j == i + 1:
+            p, bit = marks[i]
+            rest.append((p, bit, classes(p)))
+            i = j
+            continue
+        run, i = [(p, bit, classes(p)) for p, bit in marks[i:j]], j
+        if positions is not None and (m > positions or sum(len(res) / p for p, _, res in run) < _LUT_DENSITY):
+            rest += run
+            continue
+        lut = np.zeros(m, dtype=dtype)
+        for p, bit, res in run:
+            for r in res:
                 lut[r::p] |= bit
-        yield run, lut
+        tables.append((run, lut))
+    return tables, rest
 
 
-def _add_periodic(values: np.ndarray, period: np.ndarray, M: int) -> None:
-    """values[i] += period[(M + i) mod q] in place, q = len(period): a head, whole periods, a tail."""
+def _add_periodic(values: np.ndarray, period: np.ndarray, M: int, op=np.add) -> None:
+    """values[i] = op(values[i], period[(M + i) mod q]) in place, q = len(period): a head, whole periods, a tail.
+
+    ``op`` is a binary ufunc: ``np.add`` for sums, ``np.bitwise_or`` for a marking kernel's bits.
+    """
     q, N = len(period), len(values)
     s = M % q
     head = min(q - s, N)
-    values[:head] += period[s:s + head]
     k = (N - head) // q
-    values[head:head + k * q].reshape(k, q)[...] += period
-    values[head + k * q:] += period[:N - head - k * q]
+    whole = values[head:head + k * q].reshape(k, q)
+    for dst, src in ((values[:head], period[s:s + head]), (whole, period),
+                     (values[head + k * q:], period[:N - head - k * q])):
+        op(dst, src, out=dst)
 
 
 class _Source:
@@ -218,17 +243,16 @@ class _Source:
         for lo in range(0, self.N, step):
             yield mark(lo, min(lo + step, self.N))
 
-    def _survivor_blocks(self, z: int):
-        """Block masks of the elements divisible by no prime p < z."""
-        for buf in self._marked_blocks([(p, 1) for p in small_primes(z)], 1):
-            yield buf == 0
+    def _sifted_blocks(self, z: int):
+        """Block buffers, nonzero at the elements divisible by some prime p < z."""
+        return self._marked_blocks([(p, 1) for p in small_primes(z)], 1)
 
     def survivor_mask(self, z: int) -> np.ndarray:
-        return np.concatenate([np.ones(0, dtype=bool), *self._survivor_blocks(z)])
+        return np.concatenate([np.ones(0, dtype=bool), *(buf == 0 for buf in self._sifted_blocks(z))])
 
     def sift_count(self, z: int) -> int:
         """The elements divisible by no prime p < z."""
-        return sum(int(np.count_nonzero(keep)) for keep in self._survivor_blocks(z))
+        return sum(len(buf) - int(np.count_nonzero(buf)) for buf in self._sifted_blocks(z))
 
     def histogram(self, primes: tuple[int, ...]) -> np.ndarray:
         """Counts of elements by the set of ``primes`` dividing them (bit i for primes[i])."""
@@ -243,10 +267,12 @@ class _Source:
 class OmegaForm(_Source):
     """Interval [M, M+N) sifted by forbidden residue classes.
 
-    p divides the element at index n when n lies in Omega(p).  The kernel adds
-    the first run's table (period m) at offset (M + lo) mod m and strikes each
-    class r of the other primes as ``buf[(r - start) % p :: p]``, forming no
-    value, so indices pass 2^63; ``element``, if set, maps int64 indices to ``values()``.
+    p divides the element at index n when n lies in Omega(p).  The kernel ORs
+    the table of each run ``_lut_runs`` tabulates (period m, at most N, and
+    strike density at least ``_LUT_DENSITY``) into a block at offset
+    (M + lo) mod m, and strikes each class r of the other primes as
+    ``buf[(r - start) % p :: p]``, forming no value, so indices pass 2^63;
+    ``element``, if set, maps int64 indices to ``values()``.
     """
 
     M: int
@@ -255,14 +281,16 @@ class OmegaForm(_Source):
     element: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def _marker(self, marks, dtype):
-        run, lut = next(_lut_runs(marks, dtype, lambda p: self.residues.classes.get(p, ())), ((), None))
-        struck = [(p, bit, self.residues.classes.get(p, ())) for p, bit in marks[0 if lut is None else len(run):]]
+        def classes(p):
+            return self.residues.classes.get(p, ())
+
+        tables, struck = _lut_runs(marks, dtype, classes, self.N)
 
         def mark(lo: int, hi: int) -> np.ndarray:
             buf = np.zeros(hi - lo, dtype=dtype)
             start = self.M + lo
-            if lut is not None:
-                _add_periodic(buf, lut, start)
+            for _, lut in tables:
+                _add_periodic(buf, lut, start, np.bitwise_or)
             for p, bit, res in struck:
                 for r in res:
                     buf[(r - start) % p :: p] |= bit
@@ -312,20 +340,19 @@ class _Values(_Source):
         return self._values
 
     def _marker(self, marks, dtype):
-        values, runs = self.values(), list(_lut_runs(marks, dtype, lambda p: (0,)))
-        tables = [lut for _, lut in runs if lut is not None]
-        lone = [run[0] for run, lut in runs if lut is None]
+        values = self.values()
+        tables, lone = _lut_runs(marks, dtype, lambda p: (0,))
         sift = len({bit for _, bit in marks}) == 1  # one bit for every mark: a survivor count or mask
 
         def mark(lo: int, hi: int) -> np.ndarray:
             v = values[lo:hi]
             buf = np.zeros(hi - lo, dtype=dtype)
-            for lut in tables:
+            for _, lut in tables:
                 buf |= lut[v % len(lut)]
             if lone:  # a marked position stays marked, so in a sift each prime tests the unmarked ones only
                 idx = np.flatnonzero(buf == 0) if sift else np.arange(len(v))
                 rest = v[idx]
-                for p, bit in lone:
+                for p, bit, _ in lone:
                     hit = rest % p == 0
                     buf[idx[hit]] |= bit
                     if sift:

@@ -59,8 +59,11 @@ def value_histogram_per_prime(values, primes):
 
 
 def _in_classes(M, N, classes, p):
-    """The mask of the indices n in [M, M+N) with n mod p in ``classes[p]``, by one residue per index; M may pass int64."""
-    residues = (np.arange(N, dtype=np.int64) + M % p) % p
+    """The mask of the indices n in [M, M+N) with n mod p in ``classes[p]``, by one residue per index; M may pass int64.
+
+    The residues of M, M+1, ... repeat with period p, so they are those of one period, tiled.
+    """
+    residues = np.tile((np.arange(p, dtype=np.int64) + M % p) % p, N // p + 1)[:N]
     held = np.zeros(N, dtype=bool)
     for r in classes.get(p, ()):
         held |= residues == r

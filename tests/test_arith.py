@@ -244,6 +244,31 @@ def test_twin_count_pinned_to_bitmap_lookup(table):
         assert pi_count(table, x, "twin") == int(np.count_nonzero(ref[ps + 2])), x
 
 
+@pytest.mark.parametrize("segment", [1, 2, 16])
+def test_twin_count_by_segments_matches_the_whole_gap_array(table, segment):
+    # x in 3..6, x = limit - 2, and k = pi(x) gaps on both sides of each segment edge
+    ps = table.primes
+    edges = {k for e in (segment, 2 * segment, 100 * segment) for k in (e - 1, e, e + 1) if k >= 1}
+    xs = [3, 4, 5, 6, table.limit - 2] + [int(ps[k - 1]) + d for k in edges for d in (0, 1)]
+    with mock.patch.object(arith, "_SEGMENT", segment):
+        for x in xs:
+            whole = ps[: table.count_below(x) + 1]
+            assert pi_count(table, x, "twin") == int(np.count_nonzero(np.diff(whole) == 2)), (segment, x)
+
+
+def test_twin_count_holds_one_segment_of_gaps():
+    t = primes_up_to(10**7)  # 664579 primes: their whole gap array takes 5.3 MB
+    with mock.patch.object(arith, "_SEGMENT", 1 << 14):
+        tracemalloc.start()
+        try:
+            got = pi_count(t, 10**7 - 2, "twin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert got == int(np.count_nonzero(np.diff(t.primes) == 2)) == 58980
+    assert peak < 1 << 20, peak  # a segment's gaps and their mask, 9 bytes per prime
+
+
 def test_pi_progression_partition(table):
     # classes coprime to k partition the primes not dividing k
     for k in (3, 4, 10, 12):

@@ -12,8 +12,11 @@ from sievekit.problem import (
     OmegaForm,
     ResidueSystem,
     SiftingDensity,
+    _LUT_DENSITY,
     _Profile,
     _Values,
+    _add_periodic,
+    _lut_runs,
     build_problem,
     count_in_class,
     divisor_walk,
@@ -386,14 +389,30 @@ def test_value_histogram_matches_per_prime_kernel(values, primes):
     assert np.array_equal(got, value_histogram_per_prime(values, primes))
 
 
+G = 30 * 100003  # a goldbach N with 3 * 5 | G
+# Omega(p) of the forms: interval (one class per prime), twin (two), goldbach
+# (one at 2, 3 and 5), and progressions with no class at p | k: k = 30; k = 17 * 19,
+# which thins the run 17..29; k = 17 * 19 * 23 * 29, which leaves it density 0
+KERNEL_RULES = (
+    lambda p: (0,),
+    lambda p: (0,) if p == 2 else (0, p - 2),
+    lambda p: (0, G % p) if G % p else (0,),
+    lambda p: () if 30 % p == 0 else (-7 * pow(30, -1, p) % p,),
+    lambda p: () if 323 % p == 0 else (-5 * pow(323, -1, p) % p,),
+    lambda p: () if 215441 % p == 0 else (-2 * pow(215441, -1, p) % p,),
+)
+# the periods of the runs below 53 a strided kernel may tabulate: 2..13, 17..29, 31..41 and 43 * 47
+RUN_PERIODS = (30030, 215441, 47027, 2021)
+RUN_LCM = math.prod(RUN_PERIODS)
+
+
 def _kernel_sources(N):
     """An explicit source of N values across int64, and residue forms of N indices with their classes.
 
-    The forms' first run of marks (primes whose product stays within 2^18)
-    holds one class per prime (interval), two (twin), one where 3 * 5 | N
-    (goldbach) and none where p | k = 30 (progression).  Their starts M are
-    0, 1 and 30029 mod 30030, at both int64 extremes, across 0 and 2^63,
-    and near 10^30; each N pairs the shapes with the starts differently.
+    Each form takes one of ``KERNEL_RULES``.  Their starts M are 0, 1 and
+    -1 mod every period of ``RUN_PERIODS``, near 0, near 10^30 and on both
+    sides of 2^63; 30029 mod 30030; at both int64 extremes; and across 0
+    and 2^63.  Each N pairs the rules with the starts differently.
     """
     rng = np.random.default_rng(N)
     vals = rng.integers(-(10**9), 10**9, size=N)
@@ -401,19 +420,14 @@ def _kernel_sources(N):
     vals[1::11] = rng.integers(-(10**6), 10**6, size=len(vals[1::11])) * 262147
     edges = [min(i, N - 1) for i in (0, 1, 2**18 - 2, 2**18 - 1, 2**18, N - 1)]  # both sides of the first block edge
     vals[edges] = [0, -1, INT64_MIN, INT64_MAX, 30030 * 521, -510510]
-    G = 30 * 100003  # a goldbach N with 3 * 5 | G
-    rules = [
-        lambda p: (0,),  # interval: an index lies in a class exactly when p divides it
-        lambda p: (0,) if p == 2 else (0, p - 2),  # twin
-        lambda p: (0, G % p) if G % p else (0,),  # goldbach
-        lambda p: () if 30 % p == 0 else (-7 * pow(30, -1, p) % p,),  # progression 7 mod 30
-    ]
-    big = 10**30 - 10**30 % 30030
-    starts = (0, 30029, big + 1, big - 1, INT64_MIN, -(N // 2), 2**63 - N // 2, INT64_MAX - N + 1)
+    big = 10**30 - 10**30 % RUN_LCM
+    top = 2**63 - 2**63 % RUN_LCM
+    starts = (0, -1, 30029, big + 1, big - 1, top, top + RUN_LCM - 1,
+              INT64_MIN, -(N // 2), 2**63 - N // 2, INT64_MAX - N + 1)
     forms = []
     for i, M in enumerate(starts):
-        rule = rules[(i + N) % len(rules)]
-        classes = {p: rule(p) for p in small_primes(62) + KERNEL_PRIMES}
+        rule = KERNEL_RULES[(i + N) % len(KERNEL_RULES)]
+        classes = {p: rule(p) for p in small_primes(1001) + KERNEL_PRIMES}
         forms.append((OmegaForm(M, N, ResidueSystem(classes)), classes))
     return _Values(lambda: vals), forms
 
@@ -422,26 +436,87 @@ def _kernel_sources(N):
 KERNEL_PRIMES = small_primes(53) + (521, 65521, 131071, 262147)
 
 
-@pytest.mark.parametrize("N", [1, 30029, 30030, 30031, 2**18 - 1, 2**18, 2**18 + 1])
+# N at the block edge 2^18 and on both sides of each period of RUN_PERIODS, where its run's table switches on
+@pytest.mark.parametrize("N", [1, 2020, 2021, 30029, 30030, 30031, 47026, 47027, 215440, 215441, 2**18 - 1, 2**18, 2**18 + 1])
 def test_both_sources_match_a_per_prime_scan_at_block_edges(N):
     explicit, forms = _kernel_sources(N)
     vals = explicit.values()
     for primes in (small_primes(53), KERNEL_PRIMES):
         assert np.array_equal(explicit.histogram(primes), value_histogram_per_prime(vals, primes)), (N, len(primes))
     # 521 and up are lone primes of the explicit kernel; past them a sift tests only the unmarked values
-    for z in (2, 53, 60, 530, 1000):
-        keep = survivors(vals, small_primes(z))
+    keep, below = np.ones(N, dtype=bool), 0
+    for z in (2, 53, 60, 530, 1000):  # each adds the primes in [below, z) to the reference
+        keep &= survivors(vals, [p for p in small_primes(z) if p >= below])
+        below = z
         assert explicit.sift_count(z) == np.count_nonzero(keep), (N, z)
         assert np.array_equal(explicit.survivor_mask(z), keep), (N, z)
     for form, classes in forms:
-        # the first run is 2..13 (30030) for the window's primes, and all of (53, 59, 61) alone
+        # the window's runs are 2..13, 17..29, 31..41 and 43 * 47; (53, 59, 61) is one run of period 190747
         for primes in (small_primes(53), KERNEL_PRIMES, (53, 59, 61)):
             want = class_histogram(form.M, N, classes, primes)
             assert np.array_equal(form.histogram(primes), want), (N, form.M, primes)
-        for z in (2, 53, 60):
-            keep = class_survivors(form.M, N, classes, small_primes(z))
+        keep, below = np.ones(N, dtype=bool), 0
+        for z in (2, 53, 60, 200, 1001):  # each adds the primes in [below, z) to the reference
+            keep &= class_survivors(form.M, N, classes, [p for p in small_primes(z) if p >= below])
+            below = z
             assert form.sift_count(z) == np.count_nonzero(keep), (N, form.M, z)
             assert np.array_equal(form.survivor_mask(z), keep), (N, form.M, z)
+
+
+def _greedy_runs(marks):
+    """The runs of ``marks`` by their definition: primes in order while their product stays within 2^18."""
+    runs = [[]]
+    for mark in marks:
+        if runs[-1] and math.prod(p for p, _ in runs[-1]) * mark[0] > 2**18:
+            runs.append([])
+        runs[-1].append(mark)
+    return runs
+
+
+@pytest.mark.parametrize("positions", [None, 1, 2020, 2021, 47027, 215441, 10**7])
+def test_lut_runs_tabulate_by_one_rule_and_leave_each_other_mark_once(positions):
+    marks = [(p, 1 << (i % 16)) for i, p in enumerate(small_primes(1001))]
+    runs = _greedy_runs(marks)
+    for rule in KERNEL_RULES:
+        tables, rest = _lut_runs(marks, np.uint16, rule, positions)
+
+        def pays(run):
+            """A lookup kernel tabulates every run; a strided one those of period <= positions and density >= the bound."""
+            m = math.prod(p for p, _ in run)
+            return positions is None or m <= positions and sum(len(rule(p)) / p for p, _ in run) >= _LUT_DENSITY
+
+        tabulated = [run for run in runs if len(run) > 1 and pays(run)]
+        assert [[(p, bit) for p, bit, _ in run] for run, _ in tables] == tabulated, positions
+        # each mark is in one table or in the rest, not both, and keeps its order and classes
+        assert [(p, bit) for p, bit, _ in rest] == [mark for run in runs if run not in tabulated for mark in run]
+        assert all(res == rule(p) for p, _, res in rest)
+        for run, lut in tables:
+            s = np.arange(len(lut))
+            want = np.zeros(len(lut), dtype=np.uint16)
+            for p, bit, res in run:
+                assert res == rule(p)
+                for r in res:
+                    want[s % p == r] |= bit
+            assert lut.dtype == np.uint16 and np.array_equal(lut, want), [p for p, *_ in run]
+
+
+# q > N, N = kq and N = kq +- 1 (46483 = 23 * 2021); M = 0 mod q below and past 2^63, and other offsets
+@pytest.mark.parametrize("q, N", [(7, 3), (7, 7), (7, 20), (7, 21), (7, 22), (2021, 46482), (2021, 46483), (2021, 46484)])
+@pytest.mark.parametrize("M", [0, 5, 2021 * 7 * 2**60, 2**63 + 3, 10**30 + 1, -1])
+def test_add_periodic_adds_or_ors_the_period_entry_of_each_position(q, N, M):
+    rng = np.random.default_rng(q + N)
+    period = rng.integers(0, 2**15, q).astype(np.uint16)
+    base = rng.integers(0, 2**15, N).astype(np.uint16)
+    at = period[(np.arange(N) + M % q) % q]  # the period entry of each position M + i
+    for op in (np.add, np.bitwise_or):
+        got = base.copy()
+        _add_periodic(got, period, M, op)
+        assert np.array_equal(got, op(base, at)), op
+    # the default adds, as the large-sieve engines call it on complex vectors
+    cperiod = period * (1 + 2j)
+    got = base * 1j
+    _add_periodic(got, cperiod, M)
+    assert np.array_equal(got, base * 1j + cperiod[(np.arange(N) + M % q) % q])
 
 
 @pytest.mark.parametrize("z", [2, 3, 14, 30, 53, 60, 80])
