@@ -44,6 +44,9 @@ from .rosser import (
 from .selberg import linnik_bound, selberg_upper_bound
 
 PROBLEM_KEYS = ("x", "y", "N", "k", "l", "r")
+# the flags each kind's builder reads
+PROBLEM_FLAGS = {"interval": ("x", "y"), "twin": ("x",), "goldbach": ("N",), "shifted_prime": ("x",),
+                 "progression": ("x", "k", "l"), "parity": ("x", "r")}
 
 
 # The exponent stays under five digits, so a flag cannot ask for an integer
@@ -70,6 +73,9 @@ def _problem_from_args(args):
         val = getattr(args, key if key != "N" else "bigN", None)
         if val is not None:
             params[key] = _int(val)
+    missing = [f"--{key}" for key in PROBLEM_FLAGS[args.problem] if key not in params]
+    if missing:
+        raise ValueError(f"{args.problem} needs {' and '.join(missing)}")
     table = None
     if args.problem == "shifted_prime":
         table = primes_up_to(params["x"] + 2)
@@ -280,8 +286,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def add_problem(p):
-        p.add_argument("--problem",
-                       choices=("interval", "twin", "goldbach", "shifted_prime", "progression", "parity"))
+        p.add_argument("--problem", choices=tuple(PROBLEM_FLAGS))
         p.add_argument("--x")
         p.add_argument("--y")
         p.add_argument("--N", dest="bigN")

@@ -23,8 +23,11 @@ interval and one rule for the forbidden index classes Omega(p)
 enough to pay for one (``_lut_runs``: period at most the positions
 marked, strike density sum |Omega(p)|/p at least ``_LUT_DENSITY``) and
 strided slices for the rest; omega(p) = |Omega(p)|, |A_d| is a CRT count.
-The explicit kinds' ``_Values`` has a table per run.
-``_Source`` writes histograms, sifted counts and survivor masks once.
+Parity holds ``_Kept``: the positions of the interval [1, x) a mask of
+Omega(n) mod 2 selects, marked by the same strided kernel (Omega(p) = {0}).
+shifted_prime and custom hold ``_Values``, an int64 value array with a
+lookup table per run.  ``_Source`` writes histograms, sifted counts and
+survivor masks once.
 
 Many |A_d| at once come from one divisibility profile (``_Profile``,
 ``SieveProblem.profile``): the superset sums of the pattern over a set of
@@ -46,13 +49,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .arith import BudgetError, PrimeTable, factor_squarefree, li, small_primes
+from .arith import BudgetError, PrimeTable, factor_squarefree, li, primes_up_to, small_primes
 
 KINDS = ("interval", "twin", "goldbach", "shifted_prime", "progression", "parity", "custom")
 
-# Most elements one oracle count may visit.  The affine kinds stream their
-# index range in blocks, so there it bounds work, not memory; the explicit
-# kinds still hold every value in an int64 array.
+# Most elements (for parity, positions of [1, x)) one oracle count may visit.  The
+# affine kinds stream their index range in blocks, so there it bounds work, not
+# memory; parity holds an x-byte mask, shifted_prime and custom an int64 value array.
 ORACLE_ELEMENT_CAP = 2 * 10**7
 DIVISOR_CAP = 1 << 25  # most squarefree divisors one walk, or entries one profile, may hold
 _PROFILE_Z = 53  # oracle profiles cover sifting primes below this bound
@@ -66,6 +69,7 @@ _LUT_DENSITY = 0.05
 _NS_ELEMENT = 5  # one element in one pass of a profile build, or in a values % d scan
 _NS_ENTRY_BIT = 1  # one profile entry in one prime's step of the superset sum
 _NS_CRT = 4000  # one affine |A_d| by CRT, less the cost of reading it off a profile
+_NS_STRIDED = 1000  # one parity |A_d| by a strided count of its mask, besides the positions it scans
 
 
 def _as_fraction(x) -> Fraction:
@@ -225,7 +229,8 @@ class _Source:
 
     ``_marker(marks, dtype)`` returns a function of a block [lo, hi) of
     element positions that gives a ``dtype`` buffer ORing ``bit`` at every
-    element p divides, for each (p, bit) of ``marks``.
+    element p divides, for each (p, bit) of ``marks``; ``_Kept`` instead
+    takes its form's blocks and discards the positions that are no element.
     """
 
     def _marked_blocks(self, marks, nbits: int):
@@ -258,7 +263,7 @@ class _Source:
         """Counts of elements by the set of ``primes`` dividing them (bit i for primes[i])."""
         hist = None  # the first block's counts, so that one block holds one table
         for buf in self._marked_blocks([(p, 1 << i) for i, p in enumerate(primes)], len(primes)):
-            counts = np.bincount(buf, minlength=1 << len(primes))
+            counts = np.bincount(buf, minlength=1 << len(primes))[: 1 << len(primes)]  # less a discarded bin (``_Kept``)
             hist = counts if hist is None else np.add(hist, counts, out=hist)
         return np.zeros(1 << len(primes), dtype=np.int64) if hist is None else hist
 
@@ -272,7 +277,8 @@ class OmegaForm(_Source):
     strike density at least ``_LUT_DENSITY``) into a block at offset
     (M + lo) mod m, and strikes each class r of the other primes as
     ``buf[(r - start) % p :: p]``, forming no value, so indices pass 2^63;
-    ``element``, if set, maps int64 indices to ``values()``.
+    ``element``, if set, maps int64 indices to ``values()``.  Parity's
+    ``_Kept`` marks its interval [1, x) (Omega(p) = {0}) with this kernel.
     """
 
     M: int
@@ -315,8 +321,70 @@ class OmegaForm(_Source):
         return _NS_ELEMENT * self.N, _NS_CRT
 
 
+class _Kept(_Source):
+    """The positions of an interval form [M, M+N) that ``make_drop()``'s mask leaves, as elements.
+
+    Parity is the interval [1, x) less the n with Omega(n) != r mod 2.  The
+    form's strided kernel marks every position, and a dropped one also
+    carries the discard bit 2^nbits, above every pattern of the marks' bits:
+    a sift counts it as struck, and a histogram over k primes keeps the low
+    2^k bins of its bincount, with no boolean compress.  |A_d| is one
+    strided count of the mask, and ``values()`` is formed only when asked.
+    """
+
+    def __init__(self, form: OmegaForm, make_drop: Callable[[], np.ndarray]):
+        self.form = form
+        self._make = make_drop
+        self._drop: np.ndarray | None = None
+
+    @property
+    def drop(self) -> np.ndarray:
+        """The bool mask of the form's positions that are not elements, made on first use and kept."""
+        if self._drop is None:
+            self._drop = self._make()
+        return self._drop
+
+    @property
+    def N(self) -> int:
+        return self.form.N - int(np.count_nonzero(self.drop))
+
+    def values(self) -> np.ndarray:
+        return np.flatnonzero(~self.drop) + self.form.M
+
+    def _marked_blocks(self, marks, nbits: int):
+        # ORed, the bit keeps each dropped position's pattern, which spreads them over the bincount (a
+        # window at x = 10^6 took 4.1 ms, against 5.1 ms with all of them in one bin); once 2^(nbits+1)
+        # bins pass a block's positions, the max sets each to 2^nbits, one bin more instead of twice as many
+        op = np.bitwise_or if 2 << nbits <= _BLOCK else np.maximum
+        lo, drop = 0, self.drop.view(np.uint8)
+        for buf in self.form._marked_blocks(marks, nbits + 1):
+            op(buf, np.left_shift(drop[lo:lo + len(buf)], nbits, dtype=buf.dtype), out=buf)
+            lo += len(buf)
+            yield buf
+
+    def survivor_mask(self, z: int) -> np.ndarray:
+        return super().survivor_mask(z)[~self.drop]
+
+    def count_multiple(self, d_primes) -> int:
+        """#{a in A : d | a}: the kept positions of one class mod d, by one strided count of the mask."""
+        d, n = math.prod(d_primes), self.form.N
+        start = -self.form.M % d
+        if start >= n:
+            return 0
+        held = self.drop[start::min(d, n)]
+        return len(held) - int(np.count_nonzero(held))
+
+    def _tally_costs(self, k: int) -> tuple[int, int]:
+        """(ns to mark a profile over k primes, ns per |A_d| alone): one block-sieve pass, one strided count.
+
+        The divisors of a walk over the primes below 60 to 1000 scan about
+        1/2048 of the positions each, on average.
+        """
+        return _NS_ELEMENT * self.form.N, _NS_STRIDED + _NS_ELEMENT * self.form.N // 2048
+
+
 class _Values(_Source):
-    """Explicit element values as an int64 array, formed by ``make`` on first use and kept.
+    """Explicit element values (shifted_prime, custom) as an int64 array, formed by ``make`` on first use and kept.
 
     The kernel marks each greedy run of primes (``_lut_runs``, e.g.
     2*3*5*7*11*13 = 30030), of product m, by one ``values % m`` and one
@@ -438,7 +506,7 @@ class _Profile:
 class SieveProblem:
     """A finite sequence with density bookkeeping and exact counting.
 
-    ``source`` holds the elements (``OmegaForm`` or ``_Values``); every count
+    ``source`` holds the elements (``OmegaForm``, ``_Kept`` or ``_Values``); every count
     is asked of it or of a profile built from it, whichever it is.
     """
 
@@ -653,8 +721,14 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
             raise ValueError("parity r must be 0 or 1")
         if x > ORACLE_ELEMENT_CAP:
             raise BudgetError(f"parity x={x} exceeds enumeration cap")
-        # n < x whose prime divisors, counted with multiplicity, number r mod 2
-        source = _Values(lambda: np.flatnonzero((factor_count_sieve(x)[1:] & 1) == r).astype(np.int64) + 1)
+
+        def drop() -> np.ndarray:  # the n in [1, x) whose prime divisors, counted with multiplicity, are not r mod 2
+            odd = factor_count_sieve(x)[1:] & 1
+            odd ^= r
+            return odd.view(bool)
+
+        form = OmegaForm(1, max(x - 1, 0), ResidueSystem(_AffineClasses("interval", {})))
+        source = _Kept(form, drop)
         return SieveProblem(kind, {"x": x, "r": r}, Fraction(x, 2), SiftingDensity.unit(), source)
     if kind == "custom":
         vals = np.asarray(params["elements"], dtype=np.int64)
@@ -674,21 +748,25 @@ def problem_from_config(config: Mapping, *, table: PrimeTable | None = None) -> 
 def factor_count_sieve(x: int) -> np.ndarray:
     """Number of prime divisors counted with multiplicity, for 0 <= n < x.
 
-    Only the prime powers of p <= sqrt(x - 1) are struck; each strike also
-    divides p out of a residual copy of n, so what remains above 1 is the
-    one prime factor an n < x can have above the root.  The array is
-    cached and returned read-only, shared by every caller at the same x.
+    Each prime power of p <= sqrt(x - 1) is struck as a strided slice.  An
+    n < x has at most one prime factor q above the root, to the first power,
+    so each prime q in (sqrt(x - 1), x) adds 1 at q m for m <= (x - 1) // q:
+    one scatter per cofactor m, over the primes q <= (x - 1) // m.  The
+    primes are sieved before the table is allocated, so the sieve's working
+    memory and the table never peak together.  The array is cached and
+    returned read-only, shared by every caller at the same x.
     """
+    root = math.isqrt(max(x - 1, 0))
+    primes = primes_up_to(x).primes
+    large = primes[np.searchsorted(primes, root, side="right"):]
     out = np.zeros(x, dtype=np.uint8)
-    if x > 2:
-        residual = np.arange(x, dtype=np.int32 if x <= 2**31 else np.int64)
-        for p in small_primes(math.isqrt(x - 1) + 1):
-            pk = p
-            while pk < x:
-                out[pk::pk] += 1
-                residual[pk::pk] //= p
-                pk *= p
-        out[residual > 1] += 1
+    for p in small_primes(root + 1):
+        pk = p
+        while pk < x:
+            out[pk::pk] += 1
+            pk *= p
+    for m in range(1, (x - 1) // (root + 1) + 1):
+        out[large[: np.searchsorted(large, (x - 1) // m, side="right")] * m] += 1
     out.setflags(write=False)
     return out
 

@@ -411,7 +411,7 @@ def _parity_window(x: int, r: int) -> _Profile:
     """The default-window profile of the parity-r sequence below x, shared by every z <= 53.
 
     Only the profile is kept (2^15-entry tables, at most about 1 MB), never
-    the problem or its value array.
+    the problem or its x-byte mask; the build forms no value array.
     """
     return build_problem("parity", {"x": x, "r": r}).profile()
 

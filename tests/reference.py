@@ -22,6 +22,22 @@ def plain_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
+@lru_cache(maxsize=4)
+def factor_count_reference(x: int) -> np.ndarray:
+    """Omega(n) for 0 <= n < x as uint8, by one strike per power of every prime below x; cached and read-only.
+
+    An entry does not depend on x (a prime power >= x strikes nothing below it), so a table serves every smaller x.
+    """
+    out = np.zeros(max(x, 0), dtype=np.uint8)
+    for p in plain_sieve(x).tolist():
+        pk = p
+        while pk < x:
+            out[pk::pk] += 1
+            pk *= p
+    out.setflags(write=False)
+    return out
+
+
 # -- divisibility scans of element values ------------------------------------
 
 

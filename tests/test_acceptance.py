@@ -30,7 +30,6 @@ from sievekit.problem import (
     ResidueSystem,
     build_problem,
     exact_sift,
-    factor_count_sieve,
 )
 from sievekit.rosser import (
     RosserWeightTable,
@@ -49,6 +48,8 @@ from sievekit.selberg import (
     quadratic_form,
     selberg_upper_bound,
 )
+
+from reference import factor_count_reference
 
 EULER = 0.5772156649015329
 
@@ -391,7 +392,7 @@ def test_criterion_8_almost_prime_suite(table):
 
     # positive weight forces at most two prime factors: exhaustive below 1e6
     N = 10**6
-    big_omega = factor_count_sieve(N)
+    big_omega = factor_count_reference(N)
     U, V = N**0.1, N ** (1 / 3)
     window = [p for p in small_primes(1000) if U <= p < V]
     n = np.arange(N, dtype=np.int64)

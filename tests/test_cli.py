@@ -191,6 +191,20 @@ def test_seed_only_where_it_is_read(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--problem interval --x 100", "interval needs --y"),
+    ("--problem twin", "twin needs --x"),
+    ("--problem goldbach --x 100", "goldbach needs --N"),
+    ("--problem shifted_prime --N 100", "shifted_prime needs --x"),
+    ("--problem progression --x 100 --k 3", "progression needs --l"),
+    ("--problem parity --x 100", "parity needs --r"),
+], ids=lambda v: v.split()[1] if v.startswith("--") else None)
+def test_missing_problem_flag_is_named(argv, message, capsys):
+    assert main(["sift", *argv.split(), "--z", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "interval", "x": "30", "y": "30", "z": [6]}))

@@ -13,6 +13,7 @@ from sievekit.problem import (
     ResidueSystem,
     SiftingDensity,
     _LUT_DENSITY,
+    _Kept,
     _Profile,
     _Values,
     _add_periodic,
@@ -26,7 +27,8 @@ from sievekit.problem import (
 )
 
 from reference import (
-    brute_sift, class_histogram, class_survivors, plain_sieve, survivors, value_histogram_per_prime,
+    brute_sift, class_histogram, class_survivors, count_multiples, factor_count_reference, plain_sieve, survivors,
+    value_histogram_per_prime,
 )
 
 
@@ -109,31 +111,39 @@ def test_factor_count_sieve():
     assert omega[1] == 0 and omega[2] == 1 and omega[12] == 3 and omega[16] == 4 and omega[30] == 3
 
 
-def factor_count_reference(x):
-    """One strike per prime power below x, for every prime below x."""
-    out = np.zeros(x, dtype=np.uint8)
-    if x <= 2:
-        return out
-    for p in plain_sieve(x):
-        pk = int(p)
-        while pk < x:
-            out[pk::pk] += 1
-            pk *= int(p)
-    return out
-
-
 def test_factor_count_sieve_matches_reference():
     for x in range(301):
         got = factor_count_sieve(x)
         assert got.dtype == np.uint8 and np.array_equal(got, factor_count_reference(x)), x
-    # the root split changes at x = p^2 + 1; the reference's entries below x
-    # do not depend on x (a prime power >= x strikes nothing below it), so
-    # one reference table serves every x up to 10**6
+    # the root split changes at x = p^2 + 1, and the large-prime pass at x - 1
+    # prime and at x = q m, q m + 1 for q the least prime above sqrt(x - 1)
+    # (m = q - 1 keeps q that prime).  The reference's entries below x do not
+    # depend on x (a prime power >= x strikes nothing below it), so one
+    # reference table serves every x up to 10**6
     ref = factor_count_reference(10**6)
-    squares = [p * p for p in small_primes(1000)]
-    for x in sorted({x + k for x in squares for k in (-1, 0, 1)} | {10**6}):
+    primes = small_primes(1000)
+    squares = {p * p + k for p in primes for k in (-1, 0, 1)}
+    cofactors = {q * (q - 1) + k for q in primes for k in (0, 1)}
+    after_prime = {p + 1 for p in small_primes(10**6)[::997]}
+    for x in sorted(squares | cofactors | after_prime | {2**17, 10**6}):
         got = factor_count_sieve(x)
         assert got.dtype == ref.dtype and np.array_equal(got, ref[:x]), x
+
+
+def test_factor_count_sieve_peak_memory_stays_under_three_bytes_per_entry():
+    # the table is x bytes; the primes above the root are sieved before it, and
+    # one cofactor's scatter index is the widest temporary (the int32 residual
+    # the pass used to hold took 4 x bytes alone)
+    x = 2**20
+    small_primes(math.isqrt(x - 1) + 1)  # the cached base primes are not the table's memory
+    tracemalloc.start()
+    try:
+        got = factor_count_sieve.__wrapped__(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, factor_count_reference(x))
+    assert peak < 3 * x, peak
 
 
 def test_factor_count_sieve_is_cached_read_only():
@@ -461,6 +471,27 @@ def test_both_sources_match_a_per_prime_scan_at_block_edges(N):
             below = z
             assert form.sift_count(z) == np.count_nonzero(keep), (N, form.M, z)
             assert np.array_equal(form.survivor_mask(z), keep), (N, form.M, z)
+
+
+# x at the block edge 2^18 and across the second block; 2 and 3 hold one position
+@pytest.mark.parametrize("x", [2, 3, 2**18 - 1, 2**18, 2**18 + 1, 2**19 + 2])
+@pytest.mark.parametrize("r", [0, 1])
+def test_parity_positions_match_a_value_source_over_the_same_values(x, r):
+    kept = build_problem("parity", {"x": x, "r": r}).source
+    assert isinstance(kept, _Kept)
+    vals = kept.values()
+    explicit = _Values(lambda: vals)
+    assert vals.dtype == np.int64 and kept.N == explicit.N == len(vals)
+    for primes in (small_primes(53), KERNEL_PRIMES, (53, 59, 61, 67, 71)):
+        assert np.array_equal(kept.histogram(primes), explicit.histogram(primes)), (x, r, primes)
+    for z in (2, 53, 60, 1000):
+        assert kept.sift_count(z) == explicit.sift_count(z), (x, r, z)
+        assert np.array_equal(kept.survivor_mask(z), explicit.survivor_mask(z)), (x, r, z)
+    # d of one to four primes, d past every position, and d past 2^63, which divides no value in [1, x)
+    for d_primes in [(2,), (3,), (2, 3), (5, 7, 11), (2, 3, 5, 7), (3, 11, 13, 17), (1000003,), (2**61 - 1, 5)]:
+        d = math.prod(d_primes)
+        want = count_multiples(vals, d) if d < 2**63 else 0
+        assert kept.count_multiple(d_primes) == explicit.count_multiple(d_primes) == want, (x, r, d)
 
 
 def _greedy_runs(marks):

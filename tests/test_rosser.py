@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sievekit.arith import BudgetError, factor_squarefree, factorize, mobius, primes_up_to, small_primes
 from sievekit import rosser
 from sievekit.legendre import density_product
-from sievekit.problem import SieveProblem, SiftingDensity, build_problem, exact_sift, factor_count_sieve
+from sievekit.problem import SieveProblem, SiftingDensity, build_problem, exact_sift
 from sievekit.reports import write_rows
 from sievekit.rosser import (
     TWO_E_EULER,
@@ -32,7 +32,7 @@ from sievekit.rosser import (
     weight_walk,
 )
 
-from reference import divisibility, masked_sift_count, reference_sift_count
+from reference import divisibility, factor_count_reference, masked_sift_count, reference_sift_count
 
 
 # -- weight tables ----------------------------------------------------------
@@ -514,9 +514,7 @@ def test_chen_weight_cases():
 def test_chen_weight_positive_implies_almost_prime():
     # exhaustive over n < 1e6 coprime to P(N^(1/10)) = {2, 3}
     N = 10**6
-    from sievekit.problem import factor_count_sieve
-
-    big_omega = factor_count_sieve(N)
+    big_omega = factor_count_reference(N)
     U, V = N**0.1, N ** (1 / 3)
     primes = small_primes(1000)
     window = [p for p in primes if U <= p < V]
@@ -601,7 +599,7 @@ def chen_reference(N, table):
                 if q > 1 and q < table.limit and q in prime_set:
                     T3 += 1
     T3 = Fraction(T3, 2)
-    left = int(np.count_nonzero(factor_count_sieve(N)[values] <= 2))
+    left = int(np.count_nonzero(factor_count_reference(table.limit)[values] <= 2))
     rhs = T1 - T2 - T3
     singular = Fraction(1)
     for p, _ in factorize(N):
@@ -642,7 +640,7 @@ def chen_per_pair_scan(N, table):
 
     The triple sum scans every value N - p once per pair (p1, p2) for
     divisibility by p1 p2 and tests the quotient for primality; left reads
-    Omega from a table of exactly N entries.
+    Omega from the reference table up to the prime table's limit.
     """
     U = N**0.1
     V = N ** (1 / 3)
@@ -666,7 +664,7 @@ def chen_per_pair_scan(N, table):
             sel = survivors & (values % m == 0)
             T3 += int(np.count_nonzero(table.membership[values[sel] // m]))
     T3 = Fraction(T3, 2)
-    left = int(np.count_nonzero(factor_count_sieve(N)[values] <= 2))
+    left = int(np.count_nonzero(factor_count_reference(table.limit)[values] <= 2))
     rhs = T1 - T2 - T3
     singular = Fraction(1)
     for p, _ in factorize(N):
