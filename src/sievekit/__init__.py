@@ -58,61 +58,3 @@ from .selberg import (
     selberg_upper_bound,
     xi_transform,
 )
-
-__all__ = [
-    "BoundReport",
-    "BudgetError",
-    "CharacterTable",
-    "G_sum",
-    "H_factor",
-    "LambdaWeights",
-    "OmegaForm",
-    "PrimeTable",
-    "PureSieveConfig",
-    "ResidueSystem",
-    "RosserWeightTable",
-    "SeparatedPoints",
-    "SieveDecomposition",
-    "SieveFunctionTable",
-    "SieveProblem",
-    "SiftingDensity",
-    "additive_ls_check",
-    "buchstab_check",
-    "build_problem",
-    "character_table",
-    "chen_decomposition",
-    "chen_weight",
-    "count_in_class",
-    "density_product",
-    "dimension_fit",
-    "exact_sift",
-    "factor_squarefree",
-    "farey_points",
-    "hilbert_ls_check",
-    "legendre_decompose",
-    "li",
-    "linear_sieve_bound",
-    "linnik_bound",
-    "linnik_identity_check",
-    "mean_remainder_sum",
-    "mertens_compare",
-    "mobius",
-    "multiplicative_ls_check",
-    "optimal_lambda",
-    "parity_extremal",
-    "pi_count",
-    "primes_up_to",
-    "problem_from_config",
-    "pseudo_character_matrix",
-    "pure_sieve_bound",
-    "quadratic_form",
-    "remainder_E",
-    "rosser_identity",
-    "selberg_upper_bound",
-    "solve_sieve_functions",
-    "truncated_indicator",
-    "truncated_mobius",
-    "truncation_inequality_check",
-    "twin_upper_pipeline",
-    "xi_transform",
-]

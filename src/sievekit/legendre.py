@@ -59,14 +59,14 @@ def legendre_decompose(problem: SieveProblem, z: int) -> SieveDecomposition:
 
     The total is the signed sum of mu(d) |A_d| over the squarefree divisors
     d of P(z) with nonzero density (the others contribute empty classes):
-    the count sifted by those primes, read off the problem's profile over
-    them, so it is exact.  A profile prime outside them is inert and, as
-    ``sifting_primes`` checked, divides no element.  The profile raises
-    BudgetError, before allocating, when its 2^pi(z) entries exceed the
-    divisor cap.
+    the count sifted by those primes, read off their profile
+    (``problem.reader(primes)``), so it is exact.  A profile prime outside
+    them is inert and, as ``sifting_primes`` checked, divides no element.
+    The profile raises BudgetError, before allocating, when its 2^pi(z)
+    entries exceed the divisor cap.
     """
     primes = problem.sifting_primes(z)
-    total = problem.profile(primes).sift_count(z)
+    total = problem.reader(primes).sift_count(z)
     main = density_product(problem.density, z) * problem.X
     return SieveDecomposition(main, Fraction(total) - main, total)
 

@@ -31,10 +31,11 @@ survivor masks once.
 
 Many |A_d| at once come from one divisibility profile (``_Profile``,
 ``SieveProblem.profile``): the superset sums of the pattern over a set of
-primes, the window below 53 for any set inside it.  ``exact_sift`` reads
-the window up to z = 53 and sifts the source past it; ``divisor_tally``
-reads the profile over a walk's primes once the walk is long enough to pay
-for it (``SieveProblem.profile_threshold``).
+primes, the window below 53 for any set inside it.  Every engine counts
+through ``SieveProblem.reader(primes, uses)``, which alone decides between
+the profile and the source: the window or a cached profile always, a new
+one once ``uses`` counts pay for building it (``profile_threshold``), and
+the source otherwise.  Both answer ``count_multiple`` and ``sift_count``.
 """
 
 from __future__ import annotations
@@ -544,6 +545,20 @@ class SieveProblem:
             prof = self._profiles[primes] = _Profile(primes, self.source.histogram(primes))
         return prof
 
+    def reader(self, primes, uses: int | None = None) -> _Profile | _Source:
+        """What answers |A_d| (``count_multiple(d_primes)``) and sifted counts (``sift_count(w)``) over ``primes``.
+
+        ``profile(primes)`` when ``uses`` is None, or when ``uses`` counts
+        reach ``profile_threshold(primes)``: so the window below 53 and a
+        cached profile always, and a new one once it pays.  Otherwise the
+        source, which counts each query alone.
+        """
+        if uses is not None:
+            at = self.profile_threshold(primes)
+            if at is None or at > uses:
+                return self.source
+        return self.profile(primes)
+
     def sifting_primes(self, z: int, z0: int = 2) -> tuple[int, ...]:
         """Primes p with z0 <= p < z and nonzero density.
 
@@ -565,7 +580,7 @@ class SieveProblem:
         return tuple(out)
 
     def profile_threshold(self, primes) -> int | None:
-        """Fewest walk divisors at which a tally over ``primes`` reads |A_d| off ``profile(primes)``.
+        """Fewest counts over ``primes`` at which ``reader`` answers them off ``profile(primes)``.
 
         0 when that profile is the window (the bound's exact count builds it
         anyway) or is cached; None, for never, past ``DIVISOR_CAP`` entries.
@@ -805,11 +820,9 @@ def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = Fa
     omega(d)/d = n_d/L (``density_numerators``) and X = x_num/x_den, every
     term is an integer over L x_den, so the sums run in Python ints and
     each result is one Fraction: the same rationals as a per-divisor
-    Fraction sum, and so the same floats.  |A_d| is read off
-    ``problem.profile(primes)`` once the walk reaches
-    ``problem.profile_threshold(primes)`` divisors, and counted divisor by
-    divisor (``count_multiple``) in a shorter walk; the walk is held only
-    up to that threshold.
+    Fraction sum, and so the same floats.  |A_d| comes from
+    ``problem.reader(primes, n)``, n the walk's divisors counted up to
+    ``problem.profile_threshold(primes)``; the walk is held only that far.
     """
     L, n_of = density_numerators(problem.density, primes)
     x_num, x_den = problem.X.numerator, problem.X.denominator
@@ -817,7 +830,7 @@ def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = Fa
     at = None if worst_case else problem.profile_threshold(primes)
     items = iter(items)
     head = list(islice(items, at or 0))
-    prof = None if at is None or len(head) < at else problem.profile(primes)
+    read = None if worst_case else problem.reader(primes, len(head))
     main = rem = 0
     for d, factors, mu in chain(head, items):
         n = n_of(factors)
@@ -825,22 +838,20 @@ def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = Fa
         if worst_case:
             rem += n * d  # omega(d) = n_d d / L
         else:
-            count = prof.count_multiple(factors) if prof else problem.count_multiple(d, factors)
-            rem += abs(count * scale - n * x_num)
+            rem += abs(read.count_multiple(factors) * scale - n * x_num)
     return Fraction(main * x_num, scale), Fraction(rem, L if worst_case else scale)
 
 
 def exact_sift(problem: SieveProblem, z: int) -> int:
     """Exact survivor count after sifting by every prime below z, the oracle count.
 
-    Up to z = 53 it is read off the default window profile; above it the
-    problem's source sifts its elements block by block.
+    One count through ``problem.reader``: off the window profile up to
+    z = 53 or a cached profile of the primes below z, else sifted by the
+    source block by block.
     """
     if z < 2:
         raise ValueError("z must be >= 2")
-    if z <= _PROFILE_Z:
-        return problem.profile().sift_count(z)
-    return problem.source.sift_count(z)
+    return problem.reader(small_primes(z), 1).sift_count(z)
 
 
 def divisor_walk(primes, *, max_nu: int):

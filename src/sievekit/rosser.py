@@ -167,10 +167,10 @@ class IdentityReport:
 
 
 def buchstab_check(problem: SieveProblem, z0: int, z: int) -> IdentityReport:
-    """|S(A,z)| = |S(A,z0)| - sum over z0 <= p < z of |S(A_p, p)|, exactly, off the profile of the primes below z."""
+    """|S(A,z)| = |S(A,z0)| - sum over z0 <= p < z of |S(A_p, p)|, exactly, off ``reader(sifting_primes(z))``."""
     if not 2 <= z0 <= z:
         raise ValueError("need 2 <= z0 <= z")
-    prof = problem.profile(problem.sifting_primes(z))
+    prof = problem.reader(problem.sifting_primes(z))
     lhs = prof.sift_count(z)
     total = prof.sift_count(z0)
     drops = {}
@@ -185,7 +185,7 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
 
     rhs = sum of mu(d) rho(d) |S(A_d, z0)| + (-1)^r sum of sigma(d) |S(A_d, p(d))|
     over squarefree d built from the window primes; dropping the sigma sum
-    leaves a one-sided bound.  Every count is read off ``profile(sifting_primes(z))``.
+    leaves a one-sided bound.  Every count is read off ``reader(sifting_primes(z))``.
     The density analogue is checked in exact rationals alongside, summed in
     ints over omega(d)/d = n_d/L: V(z0) sum mu(d) n_d / L plus the sum over
     p of V(p) S_p / L, S_p the sum of n_d over sigma divisors of least prime
@@ -194,7 +194,7 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
     if not 2 <= z0 <= z:
         raise ValueError("need 2 <= z0 <= z")
     primes = problem.sifting_primes(z, z0)
-    prof = problem.profile(problem.sifting_primes(z))
+    prof = problem.reader(problem.sifting_primes(z))
     lhs = prof.sift_count(z)
     L, n_of = density_numerators(problem.density, primes)
     rho_sum = sigma_sum = n_rho = 0
@@ -430,7 +430,7 @@ def parity_extremal(x: int, z: int, r: int) -> ParityExtremalReport:
     weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
     primes = problem.sifting_primes(z)
     # every z in the window reads one shared profile; a wider one lives for this call only
-    prof = _parity_window(x, r) if z <= _PROFILE_Z else problem.profile(primes)
+    prof = _parity_window(x, r) if z <= _PROFILE_Z else problem.reader(primes)
     exact = prof.sift_count(z)
     rho_sum = 0
     sigma_sum = 0

@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from .arith import BudgetError, divisors, factor_squarefree, factorize, mobius, small_primes
-from .problem import OmegaForm, ResidueSystem, SieveProblem
+from .problem import OmegaForm, ResidueSystem, SieveProblem, SiftingDensity, exact_sift
 from .reports import BoundReport
 
 DUAL_ENERGY_RTOL = 1e-9  # relative drift allowed between the complex dual energy and the exact form
@@ -166,25 +166,35 @@ def invert_xi(xi: dict[int, Fraction], residues: ResidueSystem, z: int) -> dict[
     return out
 
 
-def _as_form(problem) -> tuple[str, OmegaForm]:
-    """(report name, residue form) of a SieveProblem with a residue form or of an OmegaForm."""
+def _as_problem(problem) -> tuple[str, SieveProblem]:
+    """(report name, problem) of a SieveProblem with a residue form, or of a bare OmegaForm.
+
+    A bare form is wrapped in a problem of its own, with omega(p) = |Omega(p)|,
+    so that its counts go through the same reader.
+    """
     if isinstance(problem, OmegaForm):
-        return f"interval[{problem.M},{problem.M + problem.N})", problem
+        rs = problem.residues
+        density = SiftingDensity(lambda p: Fraction(rs.size(p)))
+        wrapped = SieveProblem("custom", {}, Fraction(problem.N), density, problem)
+        return f"interval[{problem.M},{problem.M + problem.N})", wrapped
     if isinstance(problem, SieveProblem):
-        return problem.describe(), problem.omega_form()
+        return problem.describe(), problem
     raise TypeError("expected a SieveProblem with a residue form or an OmegaForm")
 
 
-def _true_remainder(form: OmegaForm, weights: LambdaWeights) -> Fraction:
+def _true_remainder(problem: SieveProblem, weights: LambdaWeights) -> Fraction:
     """Signed remainder sum of lambda(d1) lambda(d2) R_[d1,d2] over the interval, exact.
 
     R_m = |A_m| - |Omega(m)| N / m, so the sum is (P sum c_m |A_m| - N sum
     c_m |Omega(m)| P/m) / (P D^2), two integer sums (see ``_lcm_terms``).
+    Each |A_m| comes from the problem's reader of the support's primes.
     """
     D, P, terms = _lcm_terms(weights)
+    read = problem.reader({p for fac, _, _ in terms for p in fac}, len(terms))
+    form = problem.omega_form()
     rs, counted, main = form.residues, 0, 0
     for fac, m, c in terms:
-        counted += c * form.count_multiple(fac)
+        counted += c * read.count_multiple(fac)
         main += c * rs.size_d(fac) * (P // m)
     return Fraction(counted * P - main * form.N, P * D * D)
 
@@ -196,7 +206,8 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False) -> BoundRe
     bound equals the full square sum over the interval); ``worst_case``
     swaps in the crude (sum |Omega(d)|)^2 estimate.
     """
-    desc, form = _as_form(problem)
+    desc, problem = _as_problem(problem)
+    form = problem.omega_form()
     weights = optimal_lambda(z, form.residues)
     main = Fraction(form.N) / weights.G
     if worst_case:
@@ -205,9 +216,9 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False) -> BoundRe
             Fraction(0),
         ) ** 2
     else:
-        rem = _true_remainder(form, weights)
+        rem = _true_remainder(problem, weights)
     bound = main + rem
-    exact = form.sift_count(z)
+    exact = exact_sift(problem, z)
     return BoundReport(
         method="selberg",
         problem=desc,
@@ -283,12 +294,13 @@ def linnik_bound(problem, z: int) -> BoundReport:
     (c) the interval energy inequality instance of the additive large
     sieve on this data.
     """
-    desc, form = _as_form(problem)
+    desc, problem = _as_problem(problem)
+    form = problem.omega_form()
     weights = optimal_lambda(z, form.residues)
     S = quadratic_form(weights, form.residues)
     if S != 1 / weights.G:
         raise AssertionError("optimal weights missed the quadratic-form minimum")
-    exact = form.sift_count(z)
+    exact = exact_sift(problem, z)
     if dual_coefficient_sum(weights, form.residues) != S:
         raise AssertionError("dual coefficient energy disagrees with the form")
     points, b = dual_b_values(weights, form.residues)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from sievekit import cli
 from sievekit.arith import BudgetError
 from sievekit.cli import main
+from sievekit.problem import _Profile
 from sievekit.rosser import solve_sieve_functions
 
 
@@ -168,6 +170,15 @@ def test_verify_small(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_exact_identity_catches_a_wrong_fold(monkeypatch):
+    # the Legendre total comes off the profile's fold; verify compares it with the block sift, so one
+    # survivor too many in every folded count fails each exact-identity line
+    sift_count = _Profile.sift_count
+    monkeypatch.setattr(_Profile, "sift_count", lambda self, *args: sift_count(self, *args) + 1)
+    checks = list(islice(cli._verify_checks("small"), 4))
+    assert checks == [(f"exact-identity {kind}", False) for kind in ("interval", "twin", "goldbach", "progression")]
 
 
 @pytest.mark.parametrize("option", [["--out", "v.json"], ["--format", "json"], ["--seed", "3"]])

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sievekit.problem import OmegaForm, ResidueSystem, build_problem, exact_sift
 from sievekit.selberg import (
     G_sum,
     H_factor,
+    _as_problem,
     _true_remainder,
     dual_b_values,
     dual_coefficient_sum,
@@ -457,13 +459,13 @@ def test_integer_kernels_equal_fraction_loops(kind):
         w = optimal_lambda(z, form.residues)
         S = quadratic_form(w, form.residues)
         assert S == reference_quadratic_form(w, form.residues) == 1 / w.G, (kind, z)
-        assert _true_remainder(form, w) == reference_true_remainder(form, w), (kind, z)
+        assert _true_remainder(prob, w) == reference_true_remainder(form, w), (kind, z)
         assert dual_coefficient_sum(w, form.residues) == reference_dual_coefficient_sum(w, form.residues) == S
         bumped = {d: lam * Fraction(9, 10) if d > 1 else lam for d, lam in w.values.items()}
         wb = replace(w, values=bumped)
         Sb = quadratic_form(wb, form.residues)
         assert Sb == reference_quadratic_form(wb, form.residues) == dual_coefficient_sum(wb, form.residues)
-        assert _true_remainder(form, wb) == reference_true_remainder(form, wb), (kind, z)
+        assert _true_remainder(prob, wb) == reference_true_remainder(form, wb), (kind, z)
 
 
 def test_selberg_remainder_at_z100_equals_fraction_loop():
@@ -471,9 +473,21 @@ def test_selberg_remainder_at_z100_equals_fraction_loop():
     form = prob.omega_form()
     w = optimal_lambda(100, form.residues)
     rem = reference_true_remainder(form, w)
-    assert _true_remainder(form, w) == rem
+    assert _true_remainder(prob, w) == rem
     rep = selberg_upper_bound(prob, 100)
     assert rep.remainder_bound == float(rem) and rep.bound == float(Fraction(form.N) / w.G + rem)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_PROBLEMS))
+def test_bounds_on_a_problem_equal_those_on_its_bare_form(kind):
+    # a problem's reader (the window up to 53, then its own profile or the source) against a bare
+    # form wrapped afresh on each call, on both sides of the window
+    prob = build_problem(kind, KERNEL_PROBLEMS[kind])
+    for z in (2, 15, 52, 53, 54, 60):
+        for bound in (selberg_upper_bound, partial(selberg_upper_bound, worst_case=True), linnik_bound):
+            on_problem, on_form = bound(prob, z).row(), bound(prob.omega_form(), z).row()
+            assert on_form.pop("problem").startswith("interval[") and on_problem.pop("problem") == prob.describe()
+            assert on_problem == on_form, (kind, z, bound)
 
 
 @st.composite
@@ -497,4 +511,4 @@ def test_integer_kernels_on_random_residue_systems(zrs, M, N, data):
         assert S == reference_quadratic_form(weights, rs) == dual_coefficient_sum(weights, rs)
         assert S == reference_dual_coefficient_sum(weights, rs)
         form = OmegaForm(M, N, rs)
-        assert _true_remainder(form, weights) == reference_true_remainder(form, weights)
+        assert _true_remainder(_as_problem(form)[1], weights) == reference_true_remainder(form, weights)

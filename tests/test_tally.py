@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sievekit.arith import primes_up_to, small_primes
+from sievekit.arith import BudgetError, primes_up_to, small_primes
 from sievekit.brun import PureSieveConfig, pure_sieve_bound
 from sievekit.legendre import density_product, density_product_float, dimension_fit
-from sievekit.problem import SiftingDensity, build_problem, divisor_tally, divisor_walk, exact_sift
+from sievekit.problem import SiftingDensity, _Profile, build_problem, divisor_tally, divisor_walk, exact_sift
 from sievekit.reports import BoundReport
 from sievekit.rosser import RosserWeightTable, default_sieve_functions, linear_sieve_bound, weight_walk
 
@@ -240,15 +240,16 @@ def test_tally_routes_agree_across_the_window(name):
 
 
 def _routed_tally(prob, primes, items):
-    """divisor_tally over ``items``, and whether it read a profile (no count_multiple call)."""
-    calls = []
-    count_multiple = prob.count_multiple
-    prob.count_multiple = lambda d, factors: calls.append(d) or count_multiple(d, factors)
+    """divisor_tally over ``items``, and whether the reader it counted through was a profile."""
+    readers = []
+    reader = prob.reader
+    prob.reader = lambda *args: readers.append(reader(*args)) or readers[-1]
     try:
         tally = divisor_tally(prob, primes, items)
     finally:
-        del prob.count_multiple
-    return tally, not calls
+        del prob.reader
+    assert len(readers) == 1
+    return tally, isinstance(readers[0], _Profile)
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -292,9 +293,13 @@ def test_small_walks_stay_on_the_per_divisor_route():
 
 
 def test_profile_threshold_past_the_cap_is_never():
-    # 2^26 entries would exceed DIVISOR_CAP, so no walk builds that profile
+    # 2^26 entries would exceed DIVISOR_CAP, so no walk builds that profile: a counted reader is the
+    # source however many uses it is given, and the identities' reader refuses before allocating
     prob = build_problem("twin", {"x": 10**4})
     assert prob.profile_threshold(small_primes(102)) is None
+    assert prob.reader(small_primes(102), 10**12) is prob.source
+    with pytest.raises(BudgetError):
+        prob.reader(small_primes(102))
 
 
 def test_bulk_density_counts_checked_like_omega():
