@@ -48,6 +48,9 @@ PROBLEM_KEYS = ("x", "y", "N", "k", "l", "r")
 PROBLEM_FLAGS = {"interval": ("x", "y"), "twin": ("x",), "goldbach": ("N",), "shifted_prime": ("x",),
                  "progression": ("x", "k", "l"), "parity": ("x", "r")}
 
+# Most entries one lsieve trial may hold in an array.  --Q draws about 0.3 Q^2 Farey points and
+# phase tables of under Q^2; --N draws vectors of N and character tables of under 30 N (q < 30).
+LSIEVE_CAP = 1 << 20
 
 # The exponent stays under five digits, so a flag cannot ask for an integer
 # with billions of digits.
@@ -76,10 +79,7 @@ def _problem_from_args(args):
     missing = [f"--{key}" for key in PROBLEM_FLAGS[args.problem] if key not in params]
     if missing:
         raise ValueError(f"{args.problem} needs {' and '.join(missing)}")
-    table = None
-    if args.problem == "shifted_prime":
-        table = primes_up_to(params["x"] + 2)
-    return build_problem(args.problem, params, table=table)
+    return build_problem(args.problem, params)
 
 
 def _emit(rows, args) -> None:
@@ -138,6 +138,9 @@ def cmd_lsieve(args) -> int:
     least_N = {"hilbert": 0, "linnik": 10, "duality": 10, "all": 10}.get(args.suite, 4)  # the shortest vector drawn
     if args.N < least_N:
         raise ValueError(f"lsieve --suite {args.suite} needs --N >= {least_N}, got {args.N}")
+    for flag, value, entries in (("--Q", args.Q, args.Q**2), ("--N", args.N, 30 * args.N)):
+        if entries > LSIEVE_CAP:
+            raise BudgetError(f"lsieve {flag} {value} asks for arrays of up to {entries} entries, past {LSIEVE_CAP}")
     rng = np.random.default_rng(args.seed)
     rows = []
     suites = ("additive", "dual", "hilbert", "multiplicative", "linnik", "duality")

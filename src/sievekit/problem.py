@@ -5,29 +5,34 @@ with its multiplicative density ``omega``, a scale ``X`` and the source of
 its elements.  ``exact_sift`` is the exact oracle every bound in the
 package is compared against.
 
-Supported kinds:
+Supported kinds, the affine ones with the linear factors (a, b) of their
+element F(t) = prod (a t + b) over an index t:
 
-* ``interval``       n in (x-y, x],                    omega = 1, X = y
-* ``twin``           n(n+2) for 1 <= n < x-2,          omega(2)=1, omega(p)=2, X = x
-* ``goldbach``       n(N-n) for 3 <= n <= N-3,         omega(p)=2 (p not | N) else 1, X = N
-* ``shifted_prime``  p+2 for odd primes p < x,         omega(2)=0, omega(p)=p/(p-1), X = li(x)
-* ``progression``    n < x with n = l (mod k),         omega(p)=0 for p|k else 1, X = x/k
+* ``interval``       t in (x-y, x],                factors (1, 0),          X = y
+* ``twin``           t(t+2) for 1 <= t < x-2,      factors (1, 0), (1, 2),  X = x
+* ``goldbach``       t(N-t) for 3 <= t <= N-3,     factors (1, 0), (-1, N), X = N
+* ``progression``    kt+l in [1, x), l mod k,      factors (k, l),          X = x/k
+* ``shifted_prime``  p+2 for odd primes p < x,     omega(2)=0, omega(p)=p/(p-1), X = li(x)
 * ``parity``         n < x, total prime divisors = r,  omega = 1, X = x/2
 * ``custom``         explicit elements + density
 
+Each affine kind is written once, in ``build_problem``, as an index
+interval [M, M+N), X and its factors, and all else follows from them:
+Omega(p), the index classes t mod p with p | F(t), is the roots -b/a mod
+p of the factors with p not | a (``_Roots``), omega(p) = |Omega(p)| (in
+bulk, ``_root_counts``) and ``values()`` is F.
+
 Every count is over one divisibility pattern of the elements, marked in
-blocks by the kernel of the problem's one source.  The affine kinds
-(interval, twin, goldbach, progression) hold an ``OmegaForm``: an index
-interval and one rule for the forbidden index classes Omega(p)
-(``_affine_classes``), a periodic table for each run of primes dense
-enough to pay for one (``_lut_runs``: period at most the positions
-marked, strike density sum |Omega(p)|/p at least ``_LUT_DENSITY``) and
-strided slices for the rest; omega(p) = |Omega(p)|, |A_d| is a CRT count.
-Parity holds ``_Kept``: the positions of the interval [1, x) a mask of
-Omega(n) mod 2 selects, marked by the same strided kernel (Omega(p) = {0}).
-shifted_prime and custom hold ``_Values``, an int64 value array with a
-lookup table per run.  ``_Source`` writes histograms, sifted counts and
-survivor masks once.
+blocks by the kernel of the problem's one source.  An affine kind holds
+an ``OmegaForm``, whose kernel ORs a periodic table into a block for
+each run of primes dense enough to pay for one (``_lut_runs``: period at
+most the positions marked, strike density sum |Omega(p)|/p at least
+``_LUT_DENSITY``) and strikes strided slices for the rest; |A_d| is a
+CRT count.  Parity holds ``_Kept``: the positions of the interval [1, x)
+a mask of Omega(n) mod 2 selects, marked by the same strided kernel
+(factor (1, 0)).  shifted_prime and custom hold ``_Values``, an int64
+value array with a lookup table per run.  ``_Source`` writes histograms,
+sifted counts and survivor masks once.
 
 Many |A_d| at once come from one divisibility profile (``_Profile``,
 ``SieveProblem.profile``): the superset sums of the pattern over a set of
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, islice
@@ -277,15 +282,18 @@ class OmegaForm(_Source):
     the table of each run ``_lut_runs`` tabulates (period m, at most N, and
     strike density at least ``_LUT_DENSITY``) into a block at offset
     (M + lo) mod m, and strikes each class r of the other primes as
-    ``buf[(r - start) % p :: p]``, forming no value, so indices pass 2^63;
-    ``element``, if set, maps int64 indices to ``values()``.  Parity's
-    ``_Kept`` marks its interval [1, x) (Omega(p) = {0}) with this kernel.
+    ``buf[(r - start) % p :: p]``, forming no value, so indices pass 2^63.
+    An affine kind's form holds the linear factors (a, b) of its element:
+    ``values()`` is prod (a t + b) over the int64 indices t, and Omega(p)
+    is their roots mod p (``_Roots``).  A bare form has no factors, and its
+    values are the indices.  Parity's ``_Kept`` marks its interval [1, x)
+    (factor (1, 0)) with this kernel.
     """
 
     M: int
     N: int
     residues: ResidueSystem
-    element: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False, repr=False)
+    factors: tuple[tuple[int, int], ...] = ()
 
     def _marker(self, marks, dtype):
         def classes(p):
@@ -309,7 +317,13 @@ class OmegaForm(_Source):
         if self.N > ORACLE_ELEMENT_CAP:
             raise BudgetError(f"{self.N} elements exceed enumeration cap")
         t = np.arange(self.M, self.M + self.N, dtype=np.int64)
-        return t if self.element is None else self.element(t)
+        return math.prod(a * t + b for a, b in self.factors) if self.factors else t
+
+    def density(self) -> SiftingDensity:
+        """omega(p) = |Omega(p)|, with bulk counts (``_root_counts``) when the form has factors."""
+        rs, factors = self.residues, self.factors
+        bulk = (lambda ps: _root_counts(factors, ps)) if factors else None
+        return SiftingDensity(lambda p: Fraction(rs.size(p)), bulk)
 
     def count_multiple(self, d_primes) -> int:
         """#{n in [M, M+N) : n in Omega(p) for every p | d}, by CRT."""
@@ -385,7 +399,7 @@ class _Kept(_Source):
 
 
 class _Values(_Source):
-    """Explicit element values (shifted_prime, custom) as an int64 array, formed by ``make`` on first use and kept.
+    """Explicit element values (shifted_prime, custom) as an int64 array.
 
     The kernel marks each greedy run of primes (``_lut_runs``, e.g.
     2*3*5*7*11*13 = 30030), of product m, by one ``values % m`` and one
@@ -395,17 +409,10 @@ class _Values(_Source):
     values still unmarked.
     """
 
-    def __init__(self, make: Callable[[], np.ndarray]):
-        self._make = make
-        self._values: np.ndarray | None = None
-
-    @property
-    def N(self) -> int:
-        return len(self.values())
+    def __init__(self, values: np.ndarray):
+        self._values, self.N = values, len(values)
 
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = self._make()
         return self._values
 
     def _marker(self, marks, dtype):
@@ -626,99 +633,85 @@ def _profile_primes(primes) -> tuple[int, ...]:
     return small_primes(_PROFILE_Z) if all(p < _PROFILE_Z for p in primes) else primes
 
 
-def _affine_classes(kind: str, params: Mapping, p: int) -> tuple[int, ...]:
-    """Omega(p) of an affine kind: the index classes mod p whose element p divides.
+class _Roots(dict):
+    """Omega(p) by prime p, made on first lookup and kept: the distinct roots -b/a mod p of factors with p not | a."""
 
-    This rule is the whole arithmetic of the kind: its density is
-    omega(p) = |Omega(p)|, and |A_d| counts the indices lying in Omega(p)
-    for every p | d.  A progression indexes n = l + k t, so p | n exactly
-    when t = -l / k (mod p); a prime of k divides no element.
-    """
-    if kind == "interval":
-        return (0,)
-    if kind == "twin":
-        return (0,) if p == 2 else (0, p - 2)
-    if kind == "goldbach":
-        r = params["N"] % p
-        return (0, r) if r else (0,)
-    k, l = params["k"], params["l"]
-    return () if k % p == 0 else ((-l * pow(k, -1, p)) % p,)
-
-
-def _affine_class_counts(kind: str, params: Mapping, ps: np.ndarray) -> np.ndarray:
-    """|Omega(p)| for each prime of the int64 array ``ps``, by the cases of ``_affine_classes``."""
-    if kind == "interval":
-        return np.ones_like(ps)
-    if kind == "twin":
-        return np.where(ps == 2, 1, 2)
-    if kind == "goldbach":
-        return np.where(_mod_primes(params["N"], ps) != 0, 2, 1)
-    return (_mod_primes(params["k"], ps) != 0).astype(np.int64)
-
-
-def _mod_primes(n: int, ps: np.ndarray) -> np.ndarray:
-    """n mod p for each prime of ``ps``, also for an n past the int64 range."""
-    if n < 2**63:
-        return n % ps
-    return np.array([n % p for p in ps.tolist()], dtype=np.int64)
-
-
-class _AffineClasses(dict):
-    """Omega(p) by prime p, made by ``_affine_classes`` on first lookup and then kept."""
-
-    def __init__(self, kind: str, params: Mapping):
+    def __init__(self, factors):
         super().__init__()
-        self._kind, self._params = kind, params
+        self._factors = factors
 
     def __missing__(self, p: int) -> tuple[int, ...]:
-        res = self[p] = _affine_classes(self._kind, self._params, p)
+        res = self[p] = tuple(sorted({-b * pow(a, -1, p) % p for a, b in self._factors if a % p}))
         return res
 
     def get(self, p: int, default=()) -> tuple[int, ...]:
         return self[p]
 
 
-def _affine_problem(kind: str, params: dict, X: Fraction, M: int, N: int, element=None) -> SieveProblem:
-    """An affine problem over the indices [M, M+N), its classes given by the kind's rule, its values by ``element``."""
-    # The density keeps its own calls to the rule, and dimension_fit reads its
-    # bulk form far past any prime the oracle sifts by: those classes need no keeping.
-    dens = SiftingDensity(lambda p: Fraction(len(_affine_classes(kind, params, p))),
-                          lambda ps: _affine_class_counts(kind, params, ps))
-    form = OmegaForm(M, N, ResidueSystem(_AffineClasses(kind, params)), element)
-    return SieveProblem(kind, params, X, dens, form)
+def _root_counts(factors, ps: np.ndarray) -> np.ndarray:
+    """|Omega(p)| for each prime of the int64 array ``ps``, as ``_Roots`` counts them.
+
+    Each factor (a, b) with p not | a has one root, new unless it meets the
+    root of an earlier factor (a', b') with p not | a', that is p | a' b - a b'.
+    An n past int64 is reduced mod each prime in Python ints.
+    """
+    def divides(n: int) -> np.ndarray:
+        n = abs(n)
+        return (n % ps if n < 2**63 else np.array([n % p for p in ps.tolist()], dtype=np.int64)) == 0
+
+    out = np.zeros_like(ps)
+    for j, (a, b) in enumerate(factors):
+        new = ~divides(a)
+        for a0, b0 in factors[:j]:
+            new &= divides(a0) | ~divides(a0 * b - a * b0)
+        out += new
+    return out
+
+
+def _affine_form(M: int, N: int, factors) -> OmegaForm:
+    """The form over the indices [M, M+N) whose element is prod (a t + b) over ``factors``."""
+    return OmegaForm(M, N, ResidueSystem(_Roots(factors)), factors)
+
+
+def _affine_problem(kind: str, params: dict, X: Fraction, M: int, N: int, factors) -> SieveProblem:
+    """An affine problem: its form's indices [M, M+N) and factors, its density the form's."""
+    form = _affine_form(M, N, factors)
+    return SieveProblem(kind, params, X, form.density(), form)
 
 
 def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None) -> SieveProblem:
     """Construct a sieve problem of the given kind.
 
-    ``table`` is required for ``shifted_prime`` and ignored by every other
-    kind.  Affine kinds also carry the equivalent interval + residue-system
-    form (change of variables on the index).
+    ``table``, primes reaching x + 2, serves ``shifted_prime``, which sieves
+    one when none is given; other kinds ignore it.  This is the one function
+    that branches on a kind: each affine kind is written here once, as its
+    index interval [M, M+N), X and the linear factors (a, b) of its element.
     """
     params = dict(params)
     if kind == "interval":
         x, y = int(params["x"]), int(params["y"])
         if not 2 <= y <= x:
             raise ValueError("interval needs 2 <= y <= x")
-        return _affine_problem(kind, {"x": x, "y": y}, Fraction(y), x - y + 1, y)
+        return _affine_problem(kind, {"x": x, "y": y}, Fraction(y), x - y + 1, y, ((1, 0),))
     if kind == "twin":
         x = int(params["x"])
         if x < 5:
             raise ValueError("twin needs x >= 5")
-        return _affine_problem(kind, {"x": x}, Fraction(x), 1, x - 3, lambda t: t * (t + 2))
+        return _affine_problem(kind, {"x": x}, Fraction(x), 1, x - 3, ((1, 0), (1, 2)))
     if kind == "goldbach":
         N = int(params["N"])
         if N < 8 or N % 2:
             raise ValueError("goldbach needs even N >= 8")
-        return _affine_problem(kind, {"N": N}, Fraction(N), 3, N - 5, lambda t: t * (N - t))
+        return _affine_problem(kind, {"N": N}, Fraction(N), 3, N - 5, ((1, 0), (-1, N)))
     if kind == "shifted_prime":
         x = int(params["x"])
-        if table is None or table.limit < x + 2:
+        table = table or primes_up_to(x + 2)
+        if table.limit < x + 2:
             raise ValueError("shifted_prime needs a prime table reaching x + 2")
         ps = table.primes_below(x)
         vals = (ps[ps >= 3] + 2).astype(np.int64)
         dens = SiftingDensity(lambda p: Fraction(0) if p == 2 else Fraction(p, p - 1))
-        return SieveProblem(kind, {"x": x}, Fraction(li(x)), dens, _Values(lambda: vals))
+        return SieveProblem(kind, {"x": x}, Fraction(li(x)), dens, _Values(vals))
     if kind == "progression":
         x, k, l = int(params["x"]), int(params["k"]), int(params["l"])
         if k < 1:
@@ -729,7 +722,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         first = l or k  # the least n >= 1 in the class
         count = (x - 1 - first) // k + 1 if first < x else 0
         return _affine_problem(kind, {"x": x, "k": k, "l": l}, Fraction(x, k),
-                               (first - l) // k if count else 0, count, lambda t: l + k * t)
+                               (first - l) // k if count else 0, count, ((k, l),))
     if kind == "parity":
         x, r = int(params["x"]), int(params["r"])
         if r not in (0, 1):
@@ -742,14 +735,13 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
             odd ^= r
             return odd.view(bool)
 
-        form = OmegaForm(1, max(x - 1, 0), ResidueSystem(_AffineClasses("interval", {})))
-        source = _Kept(form, drop)
+        source = _Kept(_affine_form(1, max(x - 1, 0), ((1, 0),)), drop)
         return SieveProblem(kind, {"x": x, "r": r}, Fraction(x, 2), SiftingDensity.unit(), source)
     if kind == "custom":
         vals = np.asarray(params["elements"], dtype=np.int64)
         dens = params.get("density") or SiftingDensity.unit()
         X = _as_fraction(params.get("X", len(vals)))
-        return SieveProblem(kind, {"n_elements": len(vals)}, X, dens, _Values(lambda: vals))
+        return SieveProblem(kind, {"n_elements": len(vals)}, X, dens, _Values(vals))
     raise ValueError(f"unknown kind {kind!r}")
 
 

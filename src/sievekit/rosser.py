@@ -367,6 +367,8 @@ def linear_sieve_bound(problem: SieveProblem, z: int, D: float, r: int) -> Bound
     on the correct side of the oracle.  A dimension far from 1 is flagged in
     the params, not fatal.
     """
+    if z < 2:
+        raise ValueError("z must be >= 2")
     functions = default_sieve_functions()
     kappa = dimension_fit(problem.density, 100, 10**5)
     tau = math.log(D) / math.log(z)
@@ -424,6 +426,8 @@ def parity_extremal(x: int, z: int, r: int) -> ParityExtremalReport:
     the sifted count exactly; the sigma tally measures any defect.  The
     reported ratio tracks the count against (x/2) phi_r(log x / log z) V(z, 1).
     """
+    if z < 2:
+        raise ValueError("z must be >= 2")
     if x > 10**7:
         raise BudgetError("parity extremal capped at x = 1e7")
     problem = build_problem("parity", {"x": x, "r": r})

@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from .arith import BudgetError, divisors, factor_squarefree, factorize, mobius, small_primes
-from .problem import OmegaForm, ResidueSystem, SieveProblem, SiftingDensity, exact_sift
+from .problem import OmegaForm, ResidueSystem, SieveProblem, exact_sift
 from .reports import BoundReport
 
 DUAL_ENERGY_RTOL = 1e-9  # relative drift allowed between the complex dual energy and the exact form
@@ -169,13 +169,11 @@ def invert_xi(xi: dict[int, Fraction], residues: ResidueSystem, z: int) -> dict[
 def _as_problem(problem) -> tuple[str, SieveProblem]:
     """(report name, problem) of a SieveProblem with a residue form, or of a bare OmegaForm.
 
-    A bare form is wrapped in a problem of its own, with omega(p) = |Omega(p)|,
-    so that its counts go through the same reader.
+    A bare form is wrapped in a problem of its own, with the form's density
+    omega(p) = |Omega(p)|, so that its counts go through the same reader.
     """
     if isinstance(problem, OmegaForm):
-        rs = problem.residues
-        density = SiftingDensity(lambda p: Fraction(rs.size(p)))
-        wrapped = SieveProblem("custom", {}, Fraction(problem.N), density, problem)
+        wrapped = SieveProblem("custom", {}, Fraction(problem.N), problem.density(), problem)
         return f"interval[{problem.M},{problem.M + problem.N})", wrapped
     if isinstance(problem, SieveProblem):
         return problem.describe(), problem

@@ -136,3 +136,34 @@ def reference_sift_count(problem, w, d_primes):
 def density_factors(density, z):
     """The factors 1 - omega(p)/p over the primes p < z, one Fraction each from the density's per-prime ``omega``."""
     return [1 - density.omega(p) / p for p in plain_sieve(z).tolist()]
+
+
+# -- affine kinds -------------------------------------------------------------
+
+# Each affine kind's element at index t, as its definition states it: the interval's n = t, the
+# twin product t(t+2), the Goldbach product t(N-t), and the progression's n = l + k t, 0 <= l < k.
+# Every parameter enters as an integer coefficient, so reduced mod p it leaves F(t) mod p as it is.
+AFFINE_POLYNOMIALS = {
+    "interval": lambda t, q: t,
+    "twin": lambda t, q: t * (t + 2),
+    "goldbach": lambda t, q: t * (q["N"] - t),
+    "progression": lambda t, q: q["l"] + q["k"] * t,
+}
+
+
+def brute_roots(kind, params, p):
+    """The t mod p with p | F(t), F the kind's polynomial, by evaluating F at every t in [0, p)."""
+    t = np.arange(p, dtype=np.int64)
+    F = AFFINE_POLYNOMIALS[kind](t, {key: v % p for key, v in params.items()})
+    return tuple(np.flatnonzero(F % p == 0).tolist())
+
+
+def affine_elements(kind, params):
+    """The elements of an affine kind, listed from its definition."""
+    if kind == "interval":
+        return list(range(params["x"] - params["y"] + 1, params["x"] + 1))
+    if kind == "twin":
+        return [n * (n + 2) for n in range(1, params["x"] - 2)]
+    if kind == "goldbach":
+        return [n * (params["N"] - n) for n in range(3, params["N"] - 2)]
+    return [n for n in range(1, params["x"]) if n % params["k"] == params["l"]]

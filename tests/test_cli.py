@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -305,6 +306,31 @@ def test_rosser_D_not_positive_exit_2(D, capsys):
     assert main(["bound", "--method", "rosser", "--problem", "twin", "--x", "1e4", "--z", "10", "--D", D]) == 2
     captured = capsys.readouterr()
     assert "--D" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("z", ["0", "1"])
+def test_rosser_z_below_2_exit_2(z, capsys):
+    assert main(["bound", "--method", "rosser", "--problem", "twin", "--x", "1000", "--z", z]) == 2
+    captured = capsys.readouterr()
+    assert "z must be >= 2" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--Q", 10**6), ("--N", 10**12)])
+def test_lsieve_refused_past_its_budget_before_allocating(flag, value, capsys):
+    # --Q 10^6 would draw about 3e11 Farey points, --N 10^12 vectors of 10^12 entries
+    tracemalloc.start()
+    try:
+        code = main(["lsieve", "--trials", "1", flag, str(value)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 1 << 20
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    # the budget's edge: Q^2 and 30 N up to LSIEVE_CAP pass, one more is refused
+    edge = {"--Q": math.isqrt(cli.LSIEVE_CAP), "--N": cli.LSIEVE_CAP // 30}[flag]
+    assert main(["lsieve", "--trials", "0", flag, str(edge)]) == 0
+    assert main(["lsieve", "--trials", "0", flag, str(edge + 1)]) == 3
 
 
 def test_lsieve_negative_trials_exit_2(capsys):

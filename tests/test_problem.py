@@ -394,7 +394,7 @@ VALUES = st.lists(
 @example(np.arange(-10**4, 10**4, dtype=np.int64), small_primes(100))
 @settings(max_examples=150, deadline=None)
 def test_value_histogram_matches_per_prime_kernel(values, primes):
-    got = _Values(lambda: values).histogram(primes)
+    got = _Values(values).histogram(primes)
     assert got.dtype == np.int64
     assert np.array_equal(got, value_histogram_per_prime(values, primes))
 
@@ -439,7 +439,7 @@ def _kernel_sources(N):
         rule = KERNEL_RULES[(i + N) % len(KERNEL_RULES)]
         classes = {p: rule(p) for p in small_primes(1001) + KERNEL_PRIMES}
         forms.append((OmegaForm(M, N, ResidueSystem(classes)), classes))
-    return _Values(lambda: vals), forms
+    return _Values(vals), forms
 
 
 # the window's primes (lookup-table runs) and four lone ones: k = 19, so the histogram's block is 2^19
@@ -480,7 +480,7 @@ def test_parity_positions_match_a_value_source_over_the_same_values(x, r):
     kept = build_problem("parity", {"x": x, "r": r}).source
     assert isinstance(kept, _Kept)
     vals = kept.values()
-    explicit = _Values(lambda: vals)
+    explicit = _Values(vals)
     assert vals.dtype == np.int64 and kept.N == explicit.N == len(vals)
     for primes in (small_primes(53), KERNEL_PRIMES, (53, 59, 61, 67, 71)):
         assert np.array_equal(kept.histogram(primes), explicit.histogram(primes)), (x, r, primes)

@@ -287,6 +287,15 @@ def test_identities_need_2_le_z0_le_z():
             buchstab_check(prob, z0, z)
 
 
+@pytest.mark.parametrize("z", [0, 1])
+def test_linear_and_parity_refuse_z_below_2(z):
+    # both divide by log z; z < 2 is refused first, as every other engine refuses it
+    with pytest.raises(ValueError, match="z must be >= 2"):
+        linear_sieve_bound(build_problem("twin", {"x": 1000}), z, 1e3, 1)
+    with pytest.raises(ValueError, match="z must be >= 2"):
+        parity_extremal(1000, z, 0)
+
+
 # -- sieve functions ----------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from sievekit.problem import SiftingDensity, _Profile, build_problem, divisor_ta
 from sievekit.reports import BoundReport
 from sievekit.rosser import RosserWeightTable, default_sieve_functions, linear_sieve_bound, weight_walk
 
-from reference import count_multiples
+from reference import affine_elements, brute_roots, count_multiples
 
 TABLE = primes_up_to(3000)
 
@@ -302,6 +302,13 @@ def test_profile_threshold_past_the_cap_is_never():
         prob.reader(small_primes(102))
 
 
+# p = 2, p | N, p | k and k = 1; N, k and l past 2^63 and near 10^30
+AFFINE_CASES = [("interval", {"x": 100, "y": 37}), ("twin", {"x": 100})]
+AFFINE_CASES += [("goldbach", {"N": N}) for N in (8, 354, 30030, 10**30 + 4, 2**64 + 2)]
+AFFINE_CASES += [("progression", {"x": 1000, "k": k, "l": l})
+                 for k, l in ((1, 0), (30, 7), (318, 5), (215441, 2), (2**63 + 5, 3), (10**30 + 1, 10**30))]
+
+
 def test_bulk_density_counts_checked_like_omega():
     # a bulk rule breaking 0 <= omega(p) < p raises ValueError, as omega(p) does
     for bad in (lambda p: p, lambda p: -1):
@@ -312,12 +319,18 @@ def test_bulk_density_counts_checked_like_omega():
             density_product_float(density, 10)
         with pytest.raises(ValueError, match="violates"):
             dimension_fit(density, 10, 100)
-    # the affine kinds' bulk counts are the sizes of their class sets
-    for kind, params in (("twin", {"x": 100}), ("goldbach", {"N": 2 * 3 * 59}), ("interval", {"x": 9, "y": 9}),
-                         ("progression", {"x": 100, "k": 2 * 3 * 53, "l": 5})):
+    # each affine kind's classes Omega(p), their bulk sizes and its values, against a brute scan of its own
+    # polynomial: the classes at every p < 3000, at the primes below 10^5 dividing a parameter and at every
+    # 64th (a scan of all 9592 takes about 2 s a case), and the bulk sizes at every p < 10^5 against them
+    ps = primes_up_to(10**5).primes
+    for kind, params in AFFINE_CASES:
         prob = build_problem(kind, params)
-        ps = primes_up_to(1000).primes
-        want = [len(prob.omega_form().residues.classes[p]) for p in ps.tolist()]
-        assert prob.density.fractions(ps)[0].tolist() == want, kind
+        classes, bulk = prob.omega_form().residues.classes, prob.density.fractions(ps)[0].tolist()
+        for i, p in enumerate(ps.tolist()):
+            if p < 3000 or i % 64 == 0 or any(v and v % p == 0 for v in params.values()):
+                assert classes[p] == brute_roots(kind, params, p), (kind, params, p)
+            assert bulk[i] == len(classes[p]), (kind, params, p)
+        if max(params.values()) < 2**63:  # the others' values pass int64, or their count the oracle cap
+            assert prob.values().tolist() == affine_elements(kind, params), (kind, params)
     # a density with no bulk rule answers in Python ints
     assert build_problem("shifted_prime", {"x": 100}, table=TABLE).density.fractions(ps)[0].dtype == object
