@@ -316,8 +316,13 @@ class OmegaForm(_Source):
     def values(self) -> np.ndarray:
         if self.N > ORACLE_ELEMENT_CAP:
             raise BudgetError(f"{self.N} elements exceed enumeration cap")
+        # |a t + b| peaks at an end of the indices; int64 products wrap, so bound the true values first
+        factors, ends = self.factors or ((1, 0),), (self.M, self.M + self.N - 1)
+        peaks = [max(abs(a * t + b) for t in ends) for a, b in factors]
+        if max(*map(abs, ends), *map(abs, chain(*factors)), *peaks, math.prod(peaks)) >= 2**63:
+            raise ValueError(f"values over the indices [{self.M}, {self.M + self.N}) pass int64")
         t = np.arange(self.M, self.M + self.N, dtype=np.int64)
-        return math.prod(a * t + b for a, b in self.factors) if self.factors else t
+        return math.prod(a * t + b for a, b in factors)
 
     def density(self) -> SiftingDensity:
         """omega(p) = |Omega(p)|, with bulk counts (``_root_counts``) when the form has factors."""

@@ -7,6 +7,12 @@ minimum value 1/G(z).  The same bound re-emerges through an exponential-sum
 expansion and the additive large-sieve inequality; both routes are
 implemented and checked against each other exactly.
 
+The dual route factors each Farey coefficient through one exact rational
+c_q per support modulus q: the roots of a squarefree d reduce mod q | d
+onto those of q, each |Omega(d/q)| times, so b(a/q) = c_q sum over r in
+Omega(q) of e(-ar/q).  Its energy, the sum over q of c_q^2 times Ramanujan
+sums over pairs of roots of q, equals S without the form's lcm terms.
+
 Weights are supported on squarefree d < z composed of primes carrying a
 nonempty residue set; primes with empty residue sets do not participate.
 Each d keeps the primes it was built from (``LambdaWeights.primes``), so
@@ -23,12 +29,9 @@ interval counting.
 
 from __future__ import annotations
 
-import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -209,10 +212,7 @@ def selberg_upper_bound(problem, z: int, *, worst_case: bool = False) -> BoundRe
     weights = optimal_lambda(z, form.residues)
     main = Fraction(form.N) / weights.G
     if worst_case:
-        rem = sum(
-            (Fraction(form.residues.size_d(fac)) for q, fac in _supported_squarefree(z, form.residues)),
-            Fraction(0),
-        ) ** 2
+        rem = Fraction(sum(map(form.residues.size_d, weights.primes.values()))) ** 2
     else:
         rem = _true_remainder(problem, weights)
     bound = main + rem
@@ -234,54 +234,43 @@ def ramanujan_sum(q: int, m: int) -> int:
     return sum(u * mobius(q // u) for u in divisors(math.gcd(q, m)))
 
 
+def _dual_coefficients(weights: LambdaWeights, residues: ResidueSystem) -> dict[int, Fraction]:
+    """c_q = sum over d < z with q | d of lambda(d) |Omega(d/q)| / d, exact, by support modulus q ascending.
+
+    |Omega| is multiplicative on squarefree d, so c_q is xi(q) / |Omega(q)|.
+    """
+    xi = xi_transform(weights, residues)
+    return {q: xi[q] / residues.size_d(weights.primes[q]) for q in sorted(xi)}
+
+
 def dual_coefficient_sum(weights: LambdaWeights, residues: ResidueSystem) -> Fraction:
     """Farey-coefficient energy of the dual expansion, via Ramanujan sums.
 
-    Equals the quadratic form S exactly; evaluated independently here as
-    sum over d1, d2 of lambda/d products of complete residue exponential
-    sums reduced to integer Ramanujan sums: T_g(h1 - h2) summed over the
-    roots h1 of d1 and h2 of d2, T_g(h) = sum over q | g = gcd(d1, d2) of
-    c_q(h), tabulated by gcd(g, h).  One integer over (D L)^2, L = lcm(d).
+    Summing |b(a/q)|^2 = c_q^2 |sum over r in Omega(q) of e(-ar/q)|^2 over a
+    coprime to q leaves c_q^2 times the Ramanujan sums c_q(r - s) over pairs
+    of roots.  Equals the quadratic form S exactly, without its lcm terms.
     """
-    D, items = _numerators(weights)
-    L = math.lcm(*(d for d, _ in items))
-    roots = {d: residues.roots_mod(weights.primes[d]) for d, _ in items}
-
-    @cache
-    def reduced(d, g):  # the roots of d mod g, with their multiplicities
-        return tuple(Counter(h % g for h in roots[d]).items())
-
-    @cache
-    def T(g, e):
-        return sum(ramanujan_sum(q, e) for q in divisors(g))
-
-    total = 0
-    for i, (d1, n1) in enumerate(items):
-        for d2, n2 in items[i:]:
-            g = math.gcd(d1, d2)
-            inner = sum(k1 * k2 * T(g, math.gcd(g, h1 - h2)) for h1, k1 in reduced(d1, g) for h2, k2 in reduced(d2, g))
-            total += (1 if d1 == d2 else 2) * n1 * (L // d1) * n2 * (L // d2) * inner
-    return Fraction(total, (D * L) ** 2)
+    total = Fraction(0)
+    for q, c in _dual_coefficients(weights, residues).items():
+        roots = residues.roots_mod(weights.primes[q])
+        total += c * c * sum(ramanujan_sum(q, r - s) for r in roots for s in roots)
+    return total
 
 
 def dual_b_values(weights: LambdaWeights, residues: ResidueSystem) -> tuple[list[Fraction], np.ndarray]:
-    """Farey points a/q (q < z supported) and complex coefficients b(a/q)."""
-    roots = {d: residues.roots_mod(weights.primes[d]) for d in weights.values}
+    """Farey points a/q (q < z supported, then a coprime to q, ascending) and complex coefficients b(a/q).
+
+    Each b(a/q) is c_q times a row sum of one table of e(-ar/q) over the
+    roots r of q, with a r reduced mod q in integers.
+    """
     points: list[Fraction] = []
-    values: list[complex] = []
-    for q, _fac in _supported_squarefree(weights.z, residues):
-        for a in range(q) if q > 1 else [0]:
-            if q > 1 and math.gcd(a, q) != 1:
-                continue
-            b = 0j
-            for d, lam in weights.values.items():
-                if d % q:
-                    continue
-                s = sum(cmath.exp(-2j * cmath.pi * a * h / q) for h in roots[d])
-                b += complex(lam) / d * s
-            points.append(Fraction(a, q))
-            values.append(b)
-    return points, np.asarray(values, dtype=complex)
+    values = []
+    for q, c in _dual_coefficients(weights, residues).items():
+        a = [k for k in range(q) if math.gcd(k, q) == 1]  # q = 1 keeps a = 0
+        ar = np.outer(a, residues.roots_mod(weights.primes[q])) % q
+        values.append(float(c) * np.exp(-2j * np.pi / q * ar).sum(axis=1))
+        points.extend(Fraction(k, q) for k in a)
+    return points, np.concatenate(values)
 
 
 def linnik_bound(problem, z: int) -> BoundReport:
@@ -414,7 +403,8 @@ def pseudo_character_matrix(z: int, residues: ResidueSystem, M: int, N: int) -> 
     """
     if z > PSEUDO_Z_CAP or N > PSEUDO_N_CAP:
         raise BudgetError(f"pseudo-character matrix budget exceeded (z={z}, N={N})")
-    qs = _supported_squarefree(z, residues)
+    weights = optimal_lambda(z, residues)
+    qs = list(weights.primes.items())
     H = {q: H_factor(fac, residues) for q, fac in qs}
     n = np.arange(M, M + N, dtype=np.int64)
     primes = [p for p in small_primes(z) if residues.supported(p)]
@@ -426,8 +416,7 @@ def pseudo_character_matrix(z: int, residues: ResidueSystem, M: int, N: int) -> 
             hp = float(H_factor((p,), residues))
             row *= np.where(member[p], -1.0 / hp, 1.0)
         rows.append(row)
-    matrix = np.vstack(rows) if rows else np.zeros((0, N))
-    weights = optimal_lambda(z, residues)
+    matrix = np.vstack(rows)
     _weight_identity_check(weights, residues, qs, H, member, primes)
     return PseudoCharacterMatrix(
         z=z, M=M, N=N, qs=tuple(q for q, _ in qs), matrix=matrix,

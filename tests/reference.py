@@ -4,7 +4,9 @@ Each one is the plain textbook definition, sharing no code path with
 ``src/``.
 """
 
+import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -167,3 +169,24 @@ def affine_elements(kind, params):
     if kind == "goldbach":
         return [n * (params["N"] - n) for n in range(3, params["N"] - 2)]
     return [n for n in range(1, params["x"]) if n % params["k"] == params["l"]]
+
+
+def reference_dual_b_values(values, roots):
+    """Farey points a/q and b(a/q) = sum over d with q | d of lambda(d)/d sum over h in roots[d] of e(-ah/q).
+
+    ``values`` maps each support d to lambda(d) and ``roots`` each d to its
+    roots mod d; q runs over the support ascending, then a coprime to q
+    ascending.  One ``cmath.exp`` per weight, per root and per point.
+    """
+    points, b = [], []
+    for q in sorted(values):
+        for a in range(q) if q > 1 else [0]:
+            if q > 1 and math.gcd(a, q) != 1:
+                continue
+            total = 0j
+            for d, lam in values.items():
+                if d % q == 0:
+                    total += complex(lam) / d * sum(cmath.exp(-2j * cmath.pi * a * h / q) for h in roots[d])
+            points.append(Fraction(a, q))
+            b.append(total)
+    return points, np.asarray(b, dtype=complex)

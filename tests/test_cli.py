@@ -415,6 +415,11 @@ GOLDENS += [
     ("sift --problem progression --x 10000 --k 6 --l 5 --z 2,15,53,54,60".split(), "sift_progression.csv", 0),
     ("sift --problem progression --x 10000 --k 1 --l 0 --z 2,15,53,54,60".split(), "sift_progression_k1.csv", 0),
 ]
+# Linnik at a large support (122 weights, 8532 Farey points), written by the CLI before the
+# dual route factored each coefficient through one exact rational per modulus
+GOLDENS += [
+    ("bound --method linnik --problem twin --x 1e6 --z 200".split(), "bound_linnik_twin_x1e6_z200.csv", 0),
+]
 # the explicit kinds' sifted counts on both sides of the window, past the lookup-table
 # runs and at lone primes above 512; written by the CLI before those kinds shared the block kernel
 GOLDENS += [

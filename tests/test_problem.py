@@ -98,6 +98,29 @@ def test_progression_size_counts_the_class_not_the_range():
     assert vals[0] == 3 and vals[-1] == 3 + 1000 * 29999
 
 
+def test_values_past_int64_raise_and_exact_sift_still_answers():
+    # int64 wrapped half the values of the first negative (its last is 1180590494817505509376); the
+    # others ended in a bare OverflowError, the last two with one element.  The marking kernel forms
+    # no value, so exact_sift answers: the reference strikes a t + b mod p through the indices mod p.
+    cases = [("progression", {"x": 2**70, "k": 2**50 + 1, "l": 1}),
+             ("progression", {"x": 2**70, "k": 2**63 + 5, "l": 1}),
+             ("interval", {"x": 10**30, "y": 1000}),
+             ("progression", {"x": 10**6, "k": 2**63 + 5, "l": 3}),
+             ("progression", {"x": 10**6, "k": 10**30 + 1, "l": 10**30})]
+    for kind, params in cases:
+        prob = build_problem(kind, params)
+        with pytest.raises(ValueError, match="int64"):
+            prob.values()
+        form = prob.omega_form()
+        [(a, b)] = form.factors
+        kept = np.ones(form.N, dtype=bool)
+        for p in small_primes(30):
+            kept &= (a % p * ((form.M % p + np.arange(form.N)) % p) + b % p) % p != 0
+        assert exact_sift(prob, 30) == np.count_nonzero(kept), kind
+    with pytest.raises(ValueError, match="int64"):
+        OmegaForm(2**63, 10, ResidueSystem({2: (0,)})).values()
+
+
 def test_parity_builder():
     prob = build_problem("parity", {"x": 20, "r": 0})
     # parity 0: 1 and numbers with an even count of prime divisors (multiplicity)

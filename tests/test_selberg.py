@@ -27,6 +27,8 @@ from sievekit.selberg import (
     xi_transform,
 )
 
+from reference import reference_dual_b_values
+
 
 def zero_system(z):
     return ResidueSystem({p: (0,) for p in small_primes(z)})
@@ -310,15 +312,22 @@ def test_short_interval_prime_bound():
 
 
 def test_dual_sum_matches_form_random():
+    # the factored dual route against the per-weight, per-root loop it replaced, on random systems
+    # and on every affine kind on both sides of the profile window (z = 53)
     rng = random.Random(9)
-    for z in (6, 10, 15, 20):
-        for _ in range(3):
-            rs = random_system(rng, z)
-            w = optimal_lambda(z, rs)
-            S = quadratic_form(w, rs)
-            assert dual_coefficient_sum(w, rs) == S
-            _, b = dual_b_values(w, rs)
-            assert float(np.sum(np.abs(b) ** 2)) == pytest.approx(float(S), rel=1e-9)
+    systems = [(z, random_system(rng, z)) for z in (6, 10, 15, 20) for _ in range(3)]
+    systems += [(z, build_problem(kind, params).omega_form().residues)
+                for kind, params in KERNEL_PROBLEMS.items() for z in (15, 45, 54, 60)]
+    for z, rs in systems:
+        w = optimal_lambda(z, rs)
+        S = quadratic_form(w, rs)
+        assert dual_coefficient_sum(w, rs) == S == reference_dual_coefficient_sum(w, rs), z
+        roots = {d: [h for h in range(d) if all(h % p in rs.classes[p] for p in w.primes[d])] for d in w.values}
+        ref_points, ref_b = reference_dual_b_values(w.values, roots)
+        points, b = dual_b_values(w, rs)
+        assert points == ref_points, z
+        assert np.max(np.abs(b - ref_b)) <= 1e-12 * np.max(np.abs(ref_b)), z
+        assert float(np.sum(np.abs(b) ** 2)) == pytest.approx(float(S), rel=1e-9)
 
 
 def test_ramanujan_sum_values():
@@ -328,7 +337,7 @@ def test_ramanujan_sum_values():
     assert ramanujan_sum(5, 1) == -1
     assert ramanujan_sum(6, -3) == ramanujan_sum(6, 3) == -2
     # cross-check against the root-of-unity definition; dual_coefficient_sum
-    # passes m = h1 - h2, which may be negative
+    # passes m = r - s, which may be negative
     for q in range(1, 61):
         for m in range(-q - 1, q + 2):
             direct = sum(
