@@ -11,13 +11,18 @@ Conventions fixed here:
 * twin primes are counted as *pairs*, indexed by the smaller member.
 * ``k = 1`` is accepted in progression counts with ``phi(1) = 1``; the
   residue class is then the full sequence.
-* ``factorize`` is trial division, so it runs only on integers a caller
-  hands in: a divisor the package builds from primes keeps them.
+* ``factorize`` trial-divides by the primes below 2^16 and splits what is
+  left by Brent-Pollard rho, each factor certified by deterministic
+  Miller-Rabin, so it ends on every n whose cofactor stays below 3.3e24
+  and raises ``BudgetError`` past that; a divisor the package builds from
+  primes keeps them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +32,13 @@ DEFAULT_LIMIT_CAP = 10**9  # largest prime-table limit
 SMALL_PRIMES_CAP = 2 * 10**7  # largest small_primes limit: 1.27M primes, held as Python ints
 REMAINDER_WORK_CAP = 10**9  # most (modulus, prime) steps one mean_remainder_sum may take
 _SEGMENT = 1 << 20
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)  # primes_up_to starts each segment with their odd multiples struck
+_WHEEL_PERIOD = 3 * 5 * 7 * 11 * 13  # entries of odd-only index space per period
 LI_ABS_TOL = 1e-9
+_TRIAL_BOUND = 1 << 16  # factorize trial-divides by the primes below this
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981  # psi_13: those bases are exact below it (Sorenson-Webster 2017)
+_RHO_BATCH = 128  # rho steps per gcd
 
 
 class BudgetError(RuntimeError):
@@ -93,27 +104,53 @@ class PrimeTable:
         return self.primes[: self.count_below(x)]
 
 
+def prime_count_bound(limit: int) -> int:
+    """An upper bound on the number of primes below ``limit``: ``limit`` itself below 100, else
+    Rosser and Schoenfeld's pi(x) < 1.25506 x / ln x for x > 1 (Illinois J. Math. 6, 1962), plus one
+    to absorb the float's rounding."""
+    if limit < 100:
+        return max(limit, 0)
+    return int(1.25506 * limit / math.log(limit)) + 1
+
+
 def primes_up_to(limit: int) -> PrimeTable:
     """All primes in [2, limit), computed by an odd-only segmented sieve.
 
     Entry j of the reused segment buffer stands for the odd number
-    lo + 2j; each segment keeps only its primes, and the pieces are joined
-    once at the end, so working memory is O(sqrt(limit) + _SEGMENT) beside
-    the result.  The base primes come from this same sieve one level down
-    (through :func:`small_primes`).  Raises :class:`BudgetError` when
-    ``limit`` exceeds ``DEFAULT_LIMIT_CAP``.
+    lo + 2j.  Each segment starts as a copy of one tiled pattern of the odd
+    numbers prime to 3*5*7*11*13 (period 15015 entries), so only the primes
+    from 17 on are struck, and its primes are written in place into one
+    int64 output sized by :func:`prime_count_bound`; the table is a prefix of
+    that output, whose unwritten tail is never touched.  Working memory
+    beside the result is O(sqrt(limit) + _SEGMENT).  The base primes come
+    from this same sieve one level down (through :func:`small_primes`).
+    Raises :class:`BudgetError` when ``limit`` exceeds ``DEFAULT_LIMIT_CAP``.
     """
     if limit > DEFAULT_LIMIT_CAP:
         raise BudgetError(f"limit {limit} exceeds configured cap {DEFAULT_LIMIT_CAP}")
     if limit < 3:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
-    base = small_primes(math.isqrt(limit - 1) + 1)[1:]  # odd primes p, p^2 < limit
-    pieces = [np.array([2], dtype=np.int64)]
-    buf = np.empty(_SEGMENT, dtype=bool)
+    base = small_primes(math.isqrt(limit - 1) + 1)[6:]  # primes from 17 on, p^2 < limit
+    seg_len = min(_SEGMENT, (limit - 1) // 2)
+    # entry i of the tile stands for 2i + 1; a segment reads seg_len entries from offset
+    # (lo - 1) // 2 mod the period, and never past entry limit // 2
+    tile = np.ones(min(seg_len + _WHEEL_PERIOD, limit // 2), dtype=bool)
+    for p in _WHEEL_PRIMES:
+        tile[(p - 1) // 2 :: p] = False
+    out = np.empty(prime_count_bound(limit), dtype=np.int64)
+    out[0] = 2
+    n = 1
+    buf = np.empty(seg_len, dtype=bool)
     for lo in range(3, limit, 2 * _SEGMENT):
         hi = min(lo + 2 * _SEGMENT, limit)
-        seg = buf[: (hi - lo + 1) // 2]
-        seg[:] = True
+        off = (lo - 1) // 2 % _WHEEL_PERIOD
+        seg = tile[off : off + (hi - lo + 1) // 2]
+        if hi < limit:  # a later segment reads the tile again, so strike a copy
+            buf[:] = seg
+            seg = buf
+        for p in _WHEEL_PRIMES:
+            if lo <= p < hi:
+                seg[(p - lo) // 2] = True
         for p in base:
             if p * p >= hi:
                 break
@@ -122,10 +159,11 @@ def primes_up_to(limit: int) -> PrimeTable:
                 start += p
             seg[(start - lo) // 2 :: p] = False
         found = np.flatnonzero(seg)
-        found *= 2
-        found += lo
-        pieces.append(found)
-    return PrimeTable(limit, np.concatenate(pieces))
+        dst = out[n : n + len(found)]  # a shape error, never a stray write, if the bound were short
+        np.multiply(found, 2, out=dst)
+        dst += lo
+        n += len(found)
+    return PrimeTable(limit, out[:n])
 
 
 @lru_cache(maxsize=64)
@@ -137,23 +175,103 @@ def small_primes(limit: int) -> tuple[int, ...]:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 by trial division, as (p, exponent) pairs."""
+    """Prime factorization of n >= 1 as ascending (p, exponent) pairs.
+
+    Trial division by the primes below 2^16 first, which settles every
+    n < 2^32; a cofactor left at or above 2^32 has only prime factors past
+    2^16, and is split by Brent-Pollard rho with each piece certified by
+    :func:`is_prime`, which raises :class:`BudgetError` on a cofactor at or
+    past ``MILLER_RABIN_EXACT_BELOW``.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     out = []
     m = n
-    p = 2
-    while p * p <= m:
+    for p in small_primes(_TRIAL_BOUND):
+        if p * p > m:
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
+    if m >= _TRIAL_BOUND**2:
+        large = Counter()
+        pending = [m]
+        while pending:
+            f = pending.pop()
+            if is_prime(f):
+                large[f] += 1
+            else:
+                d = _brent_rho(f)
+                pending += [d, f // d]
+        out += sorted(large.items())
+    elif m > 1:
         out.append((m, 1))
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality by Miller-Rabin to the first 13 prime bases, exact for n < ``MILLER_RABIN_EXACT_BELOW``.
+
+    Raises :class:`BudgetError` at or past that bound, where the answer would be only probable.
+    """
+    if n >= MILLER_RABIN_EXACT_BELOW:
+        raise BudgetError(f"a {n.bit_length()}-bit integer is past the certified primality bound "
+                          f"{MILLER_RABIN_EXACT_BELOW:.2e}")
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_rho(n: int) -> int:
+    """A proper factor of an odd composite n, by Brent's variant of Pollard rho (BIT 20, 1980).
+
+    The map y -> y^2 + c (mod n) is walked in doubling runs, and the gcd
+    with n is taken once per ``_RHO_BATCH`` steps over the product of the
+    differences; a batch that overshoots is replayed one step at a time.
+    The deterministic c = 1, 2, ... moves on when a walk closes on n itself.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -235,8 +353,10 @@ def pi_count(table: PrimeTable, x: int, variant: str = "plain", *, k: int | None
             raise ValueError("k must be >= 1")
         if math.gcd(k, l) != 1 and k != 1:
             raise ValueError(f"(k, l) = ({k}, {l}) not coprime")
+        # the residues are taken _SEGMENT primes at a time, so no temporary spans the table
         ps = table.primes_below(x)
-        return int(np.count_nonzero(ps % k == (l % k)))
+        return sum(int(np.count_nonzero(ps[lo:lo + _SEGMENT] % k == l % k))
+                   for lo in range(0, len(ps), _SEGMENT))
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -714,7 +714,7 @@ def build_problem(kind: str, params: Mapping, *, table: PrimeTable | None = None
         if table.limit < x + 2:
             raise ValueError("shifted_prime needs a prime table reaching x + 2")
         ps = table.primes_below(x)
-        vals = (ps[ps >= 3] + 2).astype(np.int64)
+        vals = ps[1:] + 2  # ps[0] == 2 whenever ps is not empty
         dens = SiftingDensity(lambda p: Fraction(0) if p == 2 else Fraction(p, p - 1))
         return SieveProblem(kind, {"x": x}, Fraction(li(x)), dens, _Values(vals))
     if kind == "progression":

@@ -526,7 +526,8 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
     * a survivor N - p = p1 p2 q of the triple sum has no prime factor
       below U, and p1 >= U, p2 >= V > U, so its cofactor q is a prime at
       least U; the sum counts the primes q in [U, N / (p1 p2)) with
-      N - p1 p2 q prime, pi(N / (p1 p2)) lookups per pair;
+      N - p1 p2 q prime, pi(N / (p1 p2)) lookups per pair, all of one
+      p1's pairs in one array lookup;
     * left reads Omega from ``factor_count_sieve(2^k)``, 2^k the least
       power of two at or above N, one cached table for every N in
       (2^(k-1), 2^k].
@@ -546,7 +547,7 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
         if p < U:
             survivors &= values % int(p) != 0
     T1 = int(np.count_nonzero(survivors))
-    lo, hi = np.searchsorted(table.primes, [U, V])
+    lo, hi = np.searchsorted(table.primes, [math.ceil(U), math.ceil(V)])  # int bounds: no float copy of the table
     window = [int(p) for p in table.primes[lo:hi]]
     T2 = Fraction(0)
     for p1 in window:
@@ -554,14 +555,13 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
     T2 = T2 / 2
     T3 = 0
     for p1 in window:
-        p2_hi = math.sqrt(N / p1)
-        for p2 in table.primes[hi:]:
-            p2 = int(p2)
-            if p2 >= p2_hi:
-                break
-            m = p1 * p2
-            qs = table.primes[lo : np.searchsorted(table.primes, -(-N // m))]
-            T3 += int(np.count_nonzero(table.membership[N - m * qs]))
+        # p2 < sqrt(N / p1) exactly when p2 <= isqrt((N - 1) // p1)
+        ms = p1 * table.primes[hi : max(hi, np.searchsorted(table.primes, math.isqrt((N - 1) // p1), "right"))]
+        # pair j's cofactors are primes[lo : lo + sizes[j]]; index all of them as one run
+        sizes = np.maximum(np.searchsorted(table.primes, -(-N // ms)) - lo, 0)
+        starts = np.cumsum(sizes) - sizes
+        q_index = np.arange(int(sizes.sum())) - np.repeat(starts - lo, sizes)
+        T3 += int(np.count_nonzero(table.membership[N - np.repeat(ms, sizes) * table.primes[q_index]]))
     T3 = Fraction(T3, 2)
     big_omega = factor_count_sieve(1 << (N - 1).bit_length())
     left = int(np.count_nonzero(big_omega[values] <= 2))

@@ -16,7 +16,7 @@ sums over pairs of roots of q, equals S without the form's lcm terms.
 Weights are supported on squarefree d < z composed of primes carrying a
 nonempty residue set; primes with empty residue sets do not participate.
 Each d keeps the primes it was built from (``LambdaWeights.primes``), so
-no kernel factors a d again: trial division runs only on integers a
+no kernel factors a d again: ``factorize`` runs only on integers a
 caller hands in (``invert_xi``'s keys, ``ramanujan_sum``, ``psi_value``).
 
 Two generalizations are noted but out of scope here: twisting the kernel

@@ -108,12 +108,24 @@ def _limit_near_primes():
     )
 
 
-@given(limit=_limit_near_primes(), segment=st.sampled_from((1, 7, 64)))
+def _limit_near_wheel():
+    """L at the wheel primes 3..13 +- 1 and at multiples of 30030 +- 1, where the tiled pattern wraps."""
+    return st.one_of(
+        st.builds(lambda p, s: p + s, st.sampled_from((3, 5, 7, 11, 13)), st.sampled_from((-1, 0, 1))),
+        st.builds(lambda k, s: 30030 * k + s, st.integers(1, 2), st.sampled_from((-1, 0, 1))),
+    )
+
+
+@given(limit=st.one_of(_limit_near_primes(), _limit_near_wheel()),
+       segment=st.sampled_from((1, 7, 64, 15015, 15016)))
 @settings(max_examples=60, deadline=None)
 @example(limit=0, segment=1)
 @example(limit=3, segment=1)
 @example(limit=5 * 10**4, segment=1)
 @example(limit=223**2 + 1, segment=7)
+@example(limit=2 * 30030 + 1, segment=15015)
+@example(limit=2 * 30030 - 1, segment=15016)
+@example(limit=14, segment=15016)
 def test_segmented_sieve_at_any_segment_size(limit, segment):
     with mock.patch.object(arith, "_SEGMENT", segment):
         got = primes_up_to(limit)
@@ -125,17 +137,27 @@ def test_segmented_sieve_at_any_segment_size(limit, segment):
 
 def test_sieve_allocates_nothing_of_limit_size():
     limit = 10**7
-    tracemalloc.start()
-    try:
-        primes_up_to(limit)
-        tracemalloc.reset_peak()
-        t = primes_up_to(limit)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the pieces and their join are 2 x the primes; a bitmap over [0, limit)
-    # with its copies (the former layout) peaked at 4 x
-    assert peak < 3 * t.primes.nbytes
+    with mock.patch.object(arith, "_SEGMENT", 1 << 16):
+        tracemalloc.start()
+        try:
+            primes_up_to(limit)
+            tracemalloc.reset_peak()
+            t = primes_up_to(limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # the output sized by prime_count_bound is 1.17 x the primes, and a segment, its tile
+    # and its found indices about 0.07 x; keeping each segment's primes as a piece and
+    # joining them peaked at 2 x
+    assert peak < 1.4 * t.primes.nbytes, peak / t.primes.nbytes
+
+
+def test_prime_count_bound_covers_every_table():
+    limits = np.arange(10**5 + 1)
+    pi = np.searchsorted(plain_sieve(10**5 + 1), limits)  # primes below each limit
+    bounds = np.array([arith.prime_count_bound(int(x)) for x in limits])
+    assert (bounds >= pi).all()
+    assert arith.prime_count_bound(10**7) >= 664579 and arith.prime_count_bound(10**8) >= 5761455
 
 
 def test_budget_guard():
@@ -228,6 +250,62 @@ def test_factor_squarefree_rejects_squares():
         factor_squarefree(12)
 
 
+def trial_factorization(n):
+    """(p, e) pairs of n by bare trial division by 2 and every odd d."""
+    out, m, d = [], n, 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    return out + [(m, 1)] * (m > 1)
+
+
+def prime_by_trial(n):
+    """n is prime, by one NumPy pass over 2 and every odd d <= sqrt(n)."""
+    d = np.arange(3, math.isqrt(n) + 1, 2)
+    return n == 2 or (n > 2 and n % 2 == 1 and not (n % d == 0).any())
+
+
+def test_factorize_below_1e6_is_trial_division_alone():
+    ns = [*range(1, 5000), 999983, 999983 - 2, 10**6 - 1, 2**19, 997 * 997, 991 * 997]
+    ns += np.random.default_rng(5).integers(1, 10**6, size=3000).tolist()
+    with mock.patch.object(arith, "is_prime", side_effect=AssertionError("is_prime reached")), \
+            mock.patch.object(arith, "_brent_rho", side_effect=AssertionError("rho reached")):
+        for n in ns:
+            assert arith.factorize(n) == trial_factorization(n), n
+
+
+@pytest.mark.parametrize("p, q", [(2**40 - 87, 2**40 + 15), (2**40 + 15, 2**40 + 27), (2**40 - 87, 2**40 - 87),
+                                  (399165290221, 798330580441)])  # the last: psi_12, a strong pseudoprime
+def test_factorize_splits_products_of_primes_near_2_40(p, q):
+    got = arith.factorize(p * q)
+    assert math.prod(f**e for f, e in got) == p * q
+    assert all(prime_by_trial(f) for f, _ in got)
+    assert got == ([(p, 2)] if p == q else sorted([(p, 1), (q, 1)]))
+
+
+def test_factorize_ends_or_refuses_on_large_n():
+    got = arith.factorize(2**63 - 3)  # trial division alone took seconds
+    assert got == [(5, 1), (23, 1), (53301701, 1), (1504703107, 1)]
+    assert arith.factorize(2**100 * 3**5) == [(2, 100), (3, 5)]  # no cofactor left to certify
+    with pytest.raises(BudgetError, match="122-bit"):
+        arith.factorize((2**61 - 1) ** 2)
+    with pytest.raises(BudgetError):
+        arith.is_prime(arith.MILLER_RABIN_EXACT_BELOW)
+
+
+def test_is_prime_against_the_sieve_and_strong_pseudoprimes():
+    ref = bitmap(10**4)
+    assert [arith.is_prime(n) for n in range(10**4)] == ref.tolist()
+    for n in (2047, 3825123056546413051, 318665857834031151167461):  # spsp to the first 1, 9 and 12 prime bases
+        assert not arith.is_prime(n)
+    assert arith.is_prime(2**61 - 1) and arith.is_prime(2**40 + 15)
+
+
 def test_pi_count_variants(table):
     assert pi_count(table, 100) == 25
     # twin pairs below 100: (3,5),(5,7),(11,13),(17,19),(29,31),(41,43),(59,61),(71,73)
@@ -267,6 +345,25 @@ def test_twin_count_holds_one_segment_of_gaps():
             tracemalloc.stop()
     assert got == int(np.count_nonzero(np.diff(t.primes) == 2)) == 58980
     assert peak < 1 << 20, peak  # a segment's gaps and their mask, 9 bytes per prime
+
+
+@pytest.mark.parametrize("segment", [1, 2, 16, 1 << 14])
+def test_progression_count_by_segments_holds_one_segment(segment):
+    t = primes_up_to(10**5 + 3) if segment < 1 << 14 else primes_up_to(10**7)
+    xs = [0, 3, 4, 5, 6, t.limit] + [int(t.primes[k - 1]) + d for k in (segment, 2 * segment + 1) for d in (0, 1)]
+    for x in xs:
+        ps = t.primes_below(x)
+        for k, l in ((4, 1), (4, 3), (30, 7), (1, 0)):
+            want = int(np.count_nonzero(ps % k == l % k))
+            with mock.patch.object(arith, "_SEGMENT", segment):
+                tracemalloc.start()
+                try:
+                    got = pi_count(t, x, "progression", k=k, l=l)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert got == want, (segment, x, k, l)
+            assert peak < 1 << 18, peak  # one segment's residues and mask, 9 bytes per prime; the whole is 6 MB at 1e7
 
 
 def test_pi_progression_partition(table):
