@@ -45,7 +45,6 @@ from .rosser import (
     parity_extremal,
     rosser_identity,
     solve_sieve_functions,
-    truncation_inequality_check,
 )
 from .selberg import (
     G_sum,

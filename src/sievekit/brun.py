@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import small_primes, truncated_mobius
-from .problem import SieveProblem, build_problem, divisor_tally, divisor_walk, exact_sift
+from .problem import SieveProblem, build_problem, divisor_tally, exact_sift, squarefree_masks
 from .reports import BoundReport, field_row
 
 
@@ -55,7 +55,8 @@ def pure_sieve_bound(problem: SieveProblem, config: PureSieveConfig, *, worst_ca
     worst case sum of omega(d) when ``worst_case``).
     """
     primes = problem.sifting_primes(config.z)
-    main, rem = divisor_tally(problem, primes, divisor_walk(primes, max_nu=config.cutoff), worst_case=worst_case)
+    walk = squarefree_masks(primes, max_nu=config.cutoff)
+    main, rem = divisor_tally(problem, primes, walk, worst_case=worst_case)
     sign = 1 if config.parity == "upper" else -1
     bound = main + sign * rem
     return BoundReport(

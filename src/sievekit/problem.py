@@ -40,7 +40,16 @@ primes, the window below 53 for any set inside it.  Every engine counts
 through ``SieveProblem.reader(primes, uses)``, which alone decides between
 the profile and the source: the window or a cached profile always, a new
 one once ``uses`` counts pay for building it (``profile_threshold``), and
-the source otherwise.  Both answer ``count_multiple`` and ``sift_count``.
+the source otherwise.  Both answer ``count_multiple`` and ``sift_count``,
+and ``count_masks`` for a block of divisors.
+
+A walk over squarefree divisors d | P(z) is one generator,
+``squarefree_masks``: each d is a bit mask over the walk's ascending
+primes (int64 up to 63 of them), made a block at a time, truncated at a
+number of primes (Brun) or pruned by the Rosser level rule.
+``divisor_tally`` and the Rosser identities read a block as arrays: |A_d|
+in one gather off a profile, and omega(d)/d from per-byte product tables
+(``DivisorTerms``).
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain
 from typing import Callable, Mapping
 
 import numpy as np
@@ -65,7 +74,8 @@ KINDS = ("interval", "twin", "goldbach", "shifted_prime", "progression", "parity
 ORACLE_ELEMENT_CAP = 2 * 10**7
 DIVISOR_CAP = 1 << 25  # most squarefree divisors one walk, or entries one profile, may hold
 _PROFILE_Z = 53  # oracle profiles cover sifting primes below this bound
-_BLOCK = 1 << 18  # fewest element positions per block of a source's marking kernel
+# Fewest element positions per block of a source's marking kernel, and about the most divisors a walk holds.
+_BLOCK = 1 << 18
 _LUT_MODULUS = 1 << 18  # largest prime product one residue lookup table of a marking kernel spans
 # Least strike density sum |Omega(p)|/p of a run a strided kernel tabulates.  On a shared
 # 2-core x86 VM, ORing a table into a 2^18 block took 15-20 us (uint8) and 20-25 us (uint16),
@@ -273,6 +283,10 @@ class _Source:
             hist = counts if hist is None else np.add(hist, counts, out=hist)
         return np.zeros(1 << len(primes), dtype=np.int64) if hist is None else hist
 
+    def count_masks(self, primes, masks: np.ndarray) -> np.ndarray:
+        """|A_d| for each mask over ``primes`` (bit i for primes[i]), each counted alone by ``count_multiple``."""
+        return np.array([self.count_multiple(_mask_primes(primes, m)) for m in masks.tolist()], dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class OmegaForm(_Source):
@@ -471,6 +485,7 @@ class _Profile:
         self.index = {p: i for i, p in enumerate(primes)}
         self._superset = self._superset_sum(hist.astype(np.int32 if hist.sum() < 2**31 else np.int64))
         self._sifted: dict[int, np.ndarray] = {0: self._superset}  # sifted by no prime: the superset table itself
+        self._maps: dict[tuple[int, ...], list[np.ndarray]] = {}  # ``_own``'s byte tables, by walk primes
 
     @staticmethod
     def _superset_sum(f: np.ndarray) -> np.ndarray:
@@ -487,11 +502,30 @@ class _Profile:
             bits |= 1 << self.index[p]
         return bits
 
+    def _own(self, primes, masks: np.ndarray) -> np.ndarray:
+        """Masks over ``primes`` (bit i for primes[i], each a prime of this profile) as masks over its own primes."""
+        primes = tuple(primes)
+        if primes == self.primes:
+            return masks
+        tables = self._maps.get(primes)
+        if tables is None:
+            bits = [1 << self.index[p] for p in primes]
+            tables = self._maps[primes] = [t.astype(np.int64) for t in _byte_tables(bits, np.bitwise_or, 0)]
+        return _read_bytes(tables, masks, np.bitwise_or)
+
     def count_multiple(self, d_primes) -> int:
         return int(self._superset[self.bits_of(d_primes)])
 
+    def count_masks(self, primes, masks: np.ndarray) -> np.ndarray:
+        """|A_d| for each mask over ``primes``: one gather on the superset table."""
+        return self._superset[self._own(primes, masks)]
+
     def sift_count(self, w: int, d_primes=()) -> int:
-        """#{a in A : d | a, a has no prime factor below w (within the window)}.
+        """#{a in A : d | a, a has no prime factor below w (within the window)}."""
+        return int(self.sift_masks(w, self.primes, np.array([self.bits_of(d_primes)]))[0])
+
+    def sift_masks(self, w: int, primes, masks: np.ndarray) -> np.ndarray:
+        """``sift_count(w, d)`` for each mask over ``primes``: one gather on the table kept for w, 0 where p(d) < w.
 
         The k primes below w are the low k bits of a mask.  The table kept
         for k has 2^(n-k) entries: at mask j of the high bits, the elements
@@ -502,9 +536,6 @@ class _Profile:
         time, leaves the elements free of those primes too.
         """
         k = bisect_left(self.primes, w)
-        dbits = self.bits_of(d_primes)
-        if dbits & ((1 << k) - 1):
-            return 0
         table = self._sifted.get(k)
         if table is None:
             i = max(j for j in self._sifted if j < k)
@@ -513,7 +544,8 @@ class _Profile:
                 v = f.reshape(len(f), 2, -1)
                 f = v[:, 0, :] - v[:, 1, :]
             table = self._sifted[k] = f.ravel()
-        return int(table[dbits >> k])
+        own = self._own(primes, masks)
+        return np.where(own & ((1 << k) - 1), 0, table[own >> k])
 
 
 class SieveProblem:
@@ -532,6 +564,7 @@ class SieveProblem:
         self.density = density
         self.source = source
         self._profiles: dict[tuple[int, ...], _Profile] = {}
+        self._terms: dict[tuple[int, ...], DivisorTerms] = {}
         self._inert: set[int] = set()  # primes with omega(p) = 0 checked to divide no element
 
     @property
@@ -556,6 +589,14 @@ class SieveProblem:
         if prof is None:
             prof = self._profiles[primes] = _Profile(primes, self.source.histogram(primes))
         return prof
+
+    def divisor_terms(self, primes) -> DivisorTerms:
+        """The density's ``DivisorTerms`` over the ascending ``primes``, cached."""
+        primes = tuple(primes)
+        terms = self._terms.get(primes)
+        if terms is None:
+            terms = self._terms[primes] = DivisorTerms(self.density, primes)
+        return terms
 
     def reader(self, primes, uses: int | None = None) -> _Profile | _Source:
         """What answers |A_d| (``count_multiple(d_primes)``) and sifted counts (``sift_count(w)``) over ``primes``.
@@ -791,52 +832,128 @@ def count_in_class(problem: SieveProblem, d: int) -> tuple[int, Fraction]:
     return count, Fraction(count) - main
 
 
-def density_numerators(density: SiftingDensity, primes) -> tuple[int, Callable[[tuple[int, ...]], int]]:
-    """(L, n) with omega(d)/d = n(factors)/L, an int, for d over ``primes``; L = prod of b_p, omega(p)/p = a_p/b_p."""
-    a, b = density.fractions(np.array(primes, dtype=np.int64))
-    ab = dict(zip(primes, zip(a.tolist(), b.tolist())))
-    L = math.prod(b.tolist())
+def _byte_tables(items, op=np.multiply, unit=1) -> list[np.ndarray]:
+    """Per byte j of a mask over len(items) bits, the table of ``op`` over items[8j + i] at its set bits i.
 
-    def n(factors) -> int:
-        a = pb = 1
-        for p in factors:
-            a_p, pb_p = ab[p]
-            a *= a_p
-            pb *= pb_p
-        return a * (L // pb)
-
-    return L, n
-
-
-def divisor_tally(problem: SieveProblem, primes, items, *, worst_case: bool = False) -> tuple[Fraction, Fraction]:
-    """Exact (X * sum of mu omega(d)/d, sum of |R_d|) over divisor-walk items.
-
-    ``items`` yields (d, factors, mu) with every factor in ``primes``;
-    R_d = |A_d| - (omega(d)/d) X is the class remainder, and ``worst_case``
-    tallies the density bound omega(d) in place of |R_d|.  With
-    omega(d)/d = n_d/L (``density_numerators``) and X = x_num/x_den, every
-    term is an integer over L x_den, so the sums run in Python ints and
-    each result is one Fraction: the same rationals as a per-divisor
-    Fraction sum, and so the same floats.  |A_d| comes from
-    ``problem.reader(primes, n)``, n the walk's divisors counted up to
-    ``problem.profile_threshold(primes)``; the walk is held only that far.
+    Entries are Python ints (object arrays), each table 2^(bits in byte j) long.
     """
-    L, n_of = density_numerators(problem.density, primes)
+    tables = []
+    for j in range(0, max(len(items), 1), 8):
+        t = np.array([unit], dtype=object)
+        for v in items[j:j + 8]:
+            t = np.concatenate([t, op(t, v)])
+        tables.append(t)
+    return tables
+
+
+def _read_bytes(tables, masks: np.ndarray, op=np.multiply) -> np.ndarray:
+    """``op`` over each mask's entries in ``tables`` (``_byte_tables``), one gather per byte."""
+    out = tables[0][np.asarray(masks & 255, dtype=np.intp)]
+    for j, t in enumerate(tables[1:], 1):
+        op(out, t[np.asarray(masks >> 8 * j & 255, dtype=np.intp)], out=out)
+    return out
+
+
+def _mask_primes(primes, m: int) -> list[int]:
+    """The primes[i] at the set bits i of ``m``."""
+    out = []
+    while m:
+        out.append(primes[(m & -m).bit_length() - 1])
+        m &= m - 1
+    return out
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """nu(d), the primes of each mask: ``np.bitwise_count`` on int64 masks, ``int.bit_count`` on wider ones."""
+    if masks.dtype != object:
+        return np.bitwise_count(masks).astype(np.int64)
+    return np.array([m.bit_count() for m in masks.tolist()], dtype=np.int64)
+
+
+def mask_mobius(masks: np.ndarray) -> np.ndarray:
+    """mu(d) = (-1)^nu(d) for each mask, as int64."""
+    return 1 - 2 * (_popcount(masks) & 1)
+
+
+class DivisorTerms:
+    """omega(d)/d = a(d)/b(d) = n_d/L for the divisors d over ascending ``primes``, read off their masks.
+
+    With omega(p)/p = a_p/b_p (``SiftingDensity.fractions``), a(d) and b(d)
+    are the products of a_p and b_p over the primes of d, one table lookup
+    per mask byte (``_byte_tables``), L is the product of every b_p, and
+    n_d = a(d) L / b(d) is an integer.
+    """
+
+    def __init__(self, density: SiftingDensity, primes):
+        a, b = (f.tolist() for f in density.fractions(np.array(primes, dtype=np.int64)))
+        self.primes = list(primes)
+        self.L = math.prod(b)
+        self._tables = [_byte_tables(f) for f in (a, b)]
+        # int64 copies; an entry past int64 is read only by a product that ``ab`` keeps in Python ints
+        self._int64 = [[np.where(t < 2**63, t, 0).astype(np.int64) for t in ts] for ts in self._tables]
+        # at nu, the product of the nu largest factors, each counted as at least 1: no product of nu of them is larger
+        self._top = [list(accumulate(sorted((max(v, 1) for v in f), reverse=True), lambda x, y: x * y, initial=1))
+                     for f in (a, b)]
+
+    def ab(self, masks: np.ndarray, a_scale: int = 1, b_scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(a(d), b(d)) for each mask: int64 when a(d) |a_scale| + b(d) |b_scale| < 2^63 for any d of as many primes.
+
+        Otherwise arrays of Python ints.  A scale of 0 counts as 1.
+        """
+        nu = int(_popcount(masks).max(initial=0))
+        fits = self._top[0][nu] * max(abs(a_scale), 1) + self._top[1][nu] * max(abs(b_scale), 1) < 2**63
+        tables = self._int64 if fits else self._tables
+        return _read_bytes(tables[0], masks), _read_bytes(tables[1], masks)
+
+    def numerators(self, masks: np.ndarray) -> np.ndarray:
+        """n_d = a(d) L / b(d) for each mask, as Python ints."""
+        a, b = self.ab(masks)
+        return a.astype(object) * (self.L // b.astype(object))
+
+    def values(self, masks: np.ndarray) -> np.ndarray:
+        """d itself for each mask, as Python ints."""
+        return _read_bytes(_byte_tables(self.primes), masks)
+
+
+def divisor_tally(problem: SieveProblem, primes, walk, *, worst_case: bool = False) -> tuple[Fraction, Fraction]:
+    """Exact (X * sum of mu(d) omega(d)/d, sum of |R_d|) over the kept divisors of ``walk``.
+
+    ``walk`` yields (kept, boundary) mask arrays over ``primes``, as
+    ``squarefree_masks`` does.  R_d = |A_d| - (omega(d)/d) X is the class
+    remainder, and ``worst_case`` tallies the density bound omega(d) in
+    place of |R_d|.  With omega(d)/d = a(d)/b(d) = n_d/L (``DivisorTerms``)
+    and X = x_num/x_den, |R_d| L x_den = (L/b(d)) |A_d b(d) x_den - a(d) x_num|,
+    the inner term in int64 where ``DivisorTerms.ab`` proves it fits and in
+    Python ints otherwise, never in floats.  Each block adds one Python-int
+    dot product to each sum, so each result is one Fraction: the same
+    rationals as a per-divisor Fraction sum, and so the same floats.  |A_d|
+    comes from ``problem.reader(primes, n)``, n the walk's divisors counted
+    up to ``problem.profile_threshold(primes)``; the walk is held only that
+    far.  Off a profile a block's counts are one gather; the source counts
+    each divisor alone.
+    """
+    terms = problem.divisor_terms(primes)
     x_num, x_den = problem.X.numerator, problem.X.denominator
-    scale = L * x_den
     at = None if worst_case else problem.profile_threshold(primes)
-    items = iter(items)
-    head = list(islice(items, at or 0))
-    read = None if worst_case else problem.reader(primes, len(head))
+    blocks, head, seen = (kept for kept, _ in walk), [], 0
+    while at and seen < at and (masks := next(blocks, None)) is not None:
+        head.append(masks)
+        seen += len(masks)
+    read = None if worst_case else problem.reader(primes, seen)
     main = rem = 0
-    for d, factors, mu in chain(head, items):
-        n = n_of(factors)
-        main += mu * n
+    for masks in chain(head, blocks):
+        mu = mask_mobius(masks)
         if worst_case:
-            rem += n * d  # omega(d) = n_d d / L
-        else:
-            rem += abs(read.count_multiple(factors) * scale - n * x_num)
-    return Fraction(main * x_num, scale), Fraction(rem, L if worst_case else scale)
+            n = terms.numerators(masks)
+            main += int(np.dot(mu, n))
+            rem += int(np.dot(n, terms.values(masks)))  # omega(d) = n_d d / L
+            continue
+        a, b = terms.ab(masks, x_num, max(problem.size, 1) * x_den)
+        c = terms.L // b.astype(object)
+        main += int(np.dot(mu * a, c))
+        rem += int(np.dot(np.abs(read.count_masks(primes, masks) * b * x_den - a * x_num), c))
+    scale = terms.L * x_den
+    return Fraction(main * x_num, scale), Fraction(rem, terms.L if worst_case else scale)
 
 
 def exact_sift(problem: SieveProblem, z: int) -> int:
@@ -851,16 +968,105 @@ def exact_sift(problem: SieveProblem, z: int) -> int:
     return problem.reader(small_primes(z), 1).sift_count(z)
 
 
-def divisor_walk(primes, *, max_nu: int):
-    """Iterate (d, factors_descending, mu) over products of at most ``max_nu`` of ``primes``.
+def squarefree_masks(primes, *, max_nu: int | None = None, level=None):
+    """Yield (kept, boundary) mask arrays over the squarefree products of ``primes``, a block at a time.
 
-    Each factor tuple is a combination of the primes taken in descending
-    order.  Raises BudgetError, before any divisor is made, when the sum of
-    C(n, k) over k <= max_nu exceeds ``DIVISOR_CAP``.
+    Bit i of a mask flags primes[i], ``primes`` ascending: int64 masks up to
+    63 primes, Python ints past them.  The children of a kept divisor d are
+    d p over the primes p below its least prime, so each product is made
+    once.  A block of children comes from one block of parents in a few
+    NumPy calls: each parent repeated over its children's prime indices,
+    and that prime's bit ORed in.  Depth first, the walk holds one block of
+    parents per level, of at most ``_BLOCK`` over the levels divisors, so
+    about ``_BLOCK`` in all however many it makes; blocks shorter than that
+    are joined before they are yielded.  The empty product comes first.
+
+    Without ``level``, every product of at most ``max_nu`` primes is kept
+    and none is a boundary, and their number is checked against
+    ``DIVISOR_CAP`` before any is made.  ``level`` is a Rosser weight table
+    (``rosser.RosserWeightTable``: beta, D, r): a child d p with
+    nu(d p) = r mod 2 is kept only when d p p^beta < D, its ``eta``, and is
+    otherwise a boundary divisor, never expanded, so the walk stays
+    proportional to the kept set.  The values d are formed only for this
+    rule (``_level_rule``).  BudgetError is raised before a block would take
+    the walk past ``DIVISOR_CAP`` divisors.
     """
-    ps = sorted(primes, reverse=True)
-    sizes = range(min(max_nu, len(ps)) + 1)
-    count = sum(math.comb(len(ps), k) for k in sizes)
-    if count > DIVISOR_CAP:
-        raise BudgetError(f"{count} divisors of at most {max_nu} primes exceed the enumeration cap")
-    return ((math.prod(f), f, (-1) ** k) for k in sizes for f in combinations(ps, k))
+    n = len(primes)
+    top = n if max_nu is None else max(min(max_nu, n), 0)
+    if level is None and sum(math.comb(n, k) for k in range(top + 1)) > DIVISOR_CAP:
+        raise BudgetError(f"the divisors of at most {max_nu} of {n} primes exceed the enumeration cap")
+    wide = np.int64 if n < 64 else object
+    bits = np.array([1 << i for i in range(n)], dtype=wide)
+    ps, passes = (None, None) if level is None else _level_rule(primes, level)
+    step, made = max(_BLOCK // (top + 1), 1), 1
+
+    def children(masks, least, values):
+        nonlocal made
+        ends = np.cumsum(least)
+        starts, total = ends - least, int(ends[-1]) if len(ends) else 0
+        for s in range(0, total, step):
+            e = min(s + step, total)
+            if made + e - s > DIVISOR_CAP:
+                raise BudgetError(f"a divisor walk over {n} primes passed the enumeration cap {DIVISOR_CAP}")
+            made += e - s
+            if e - s == total:  # every parent's children at once
+                par = np.repeat(np.arange(len(least)), least)
+            else:
+                i, j = np.searchsorted(ends, s, "right"), np.searchsorted(starts, e)  # the parents of children s..e-1
+                par = np.repeat(np.arange(i, j), np.minimum(ends[i:j], e) - np.maximum(starts[i:j], s))
+            idx = np.arange(s, e) - starts[par]
+            yield masks[par] | bits[idx], idx, None if values is None else values[par] * ps[idx]
+
+    def levels():
+        root = np.zeros(1, dtype=wide)
+        yield root, root[:0]
+        stack = [children(root, np.array([n]), None if ps is None else np.ones(1, dtype=ps.dtype))] if top else []
+        while stack:
+            block = next(stack[-1], None)
+            if block is None:
+                stack.pop()
+                continue
+            masks, least, values = block
+            nu = len(stack)
+            if passes is not None and nu % 2 == level.r % 2:
+                ok = passes(values, least)
+                yield masks[ok], masks[~ok]
+                masks, least, values = masks[ok], least[ok], values[ok]
+            else:
+                yield masks, root[:0]
+            if nu < top:  # a parent of least prime index 0 has no children, and adds no work
+                stack.append(children(masks, least, values))
+
+    pending, held = [], 0  # short blocks, joined until they fill one
+    for block in levels():
+        pending.append(block)
+        held += len(block[0]) + len(block[1])
+        if held >= step:
+            yield tuple(np.concatenate(part) for part in zip(*pending))
+            pending, held = [], 0
+    if pending:
+        yield tuple(np.concatenate(part) for part in zip(*pending))
+
+
+def _level_rule(primes, level):
+    """(ps, passes) for ``squarefree_masks``: the primes in the dtype of its values, and the level test.
+
+    passes(v, i) is v primes[i]^beta < D for the values v = d p of children
+    of least prime p = primes[i], as ``RosserWeightTable.eta`` decides it.
+    For integral beta and finite D that is v p^beta < ceil(D) in integers.
+    In a kept divisor of nu(d) = r mod 2, d < D / p(d)^beta; so a parent of
+    a tested child is below max(D, p_max), and every value formed is at
+    most max(ceil(D), p_max) p_max^(beta+1).  The values are int64 where
+    that bound, with beta rounded up, is below 2^63, and Python ints
+    otherwise.  Other beta, or D infinite, test the float product, rounded
+    as ``eta`` rounds it.
+    """
+    beta, D = float(level.beta), level.D
+    pmax = max(primes, default=1)
+    fits = math.isfinite(D) and max(abs(math.ceil(D)), pmax) * pmax ** (math.ceil(beta) + 1) < 2**63
+    ps = np.array(primes, dtype=np.int64 if fits else object)
+    if beta.is_integer() and math.isfinite(D):
+        bound, pk = math.ceil(D), ps ** int(beta)
+        return ps, lambda v, i: v * pk[i] < bound
+    pb = np.array([p ** beta for p in primes])
+    return ps, lambda v, i: v.astype(np.float64) * pb[i] < D

@@ -5,7 +5,11 @@ The weights here come from iterating the complement identity
 branches whose least prime is too small for the remaining level.  The
 characteristic functions rho (kept divisors) and sigma (discarded
 boundary) are built two ways, by the eta chain recursion and by closed
-set descriptions, and the package checks them against each other.
+set descriptions, and the package checks them against each other.  The
+bounds and identities walk them with ``problem.squarefree_masks``, whose
+level rule is a ``RosserWeightTable``'s eta: each block of kept and
+boundary divisors is an int64 mask array, read off a profile in one
+gather per block and least prime.
 
 Also here: the coupled delay system for the optimal linear main-term
 factors phi_0 (lower) and phi_1 (upper), solved in integrated Volterra
@@ -29,14 +33,14 @@ from .arith import BudgetError, PrimeTable, factorize, small_primes
 from .legendre import density_product, dimension_fit
 from .problem import (
     _PROFILE_Z,
-    DIVISOR_CAP,
     SieveProblem,
     _Profile,
     build_problem,
-    density_numerators,
     divisor_tally,
     exact_sift,
     factor_count_sieve,
+    mask_mobius,
+    squarefree_masks,
 )
 from .reports import BoundReport, field_row
 
@@ -120,38 +124,11 @@ class RosserWeightTable:
         return 1 if self.rho_closed(factors[:-1]) else 0
 
 
-def weight_walk(primes, weights: RosserWeightTable):
-    """Enumerate kept divisors and boundary divisors, pruning dead branches.
-
-    Yields ("rho", value, factors, mu) for divisors with rho = 1 and
-    ("sigma", value, factors, 0) for the discarded boundary; a prefix that
-    fails its level test kills its whole subtree, so the walk stays
-    proportional to the kept set.  Raises BudgetError past ``DIVISOR_CAP``
-    visited divisors.  A failed level test only happens at a prefix whose
-    length has the parity of r (eta is 1 off parity), so every pruned child
-    is a boundary divisor.
-    """
-    ps = sorted(primes, reverse=True)
-    count = 0
-
-    def rec(i, value, factors):
-        nonlocal count
-        count += 1
-        if count > DIVISOR_CAP:
-            raise BudgetError("weight enumeration exceeded cap")
-        yield "rho", value, tuple(factors), (-1) ** len(factors)
-        for j in range(i, len(ps)):
-            p = ps[j]
-            child = value * p
-            nu = len(factors) + 1
-            factors.append(p)
-            if weights.eta(nu, child, p):
-                yield from rec(j + 1, child, factors)
-            else:
-                yield "sigma", child, tuple(factors), 0
-            factors.pop()
-
-    yield from rec(0, 1, [])
+def _by_least(primes, masks: np.ndarray):
+    """Yield (p, group) for each least prime p of the int64 ``masks``: the masks whose least prime is p."""
+    least = np.bitwise_count((masks & -masks) - 1)
+    for i in np.unique(least).tolist():
+        yield primes[i], masks[least == i]
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +162,36 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
 
     rhs = sum of mu(d) rho(d) |S(A_d, z0)| + (-1)^r sum of sigma(d) |S(A_d, p(d))|
     over squarefree d built from the window primes; dropping the sigma sum
-    leaves a one-sided bound.  Every count is read off ``reader(sifting_primes(z))``.
-    The density analogue is checked in exact rationals alongside, summed in
-    ints over omega(d)/d = n_d/L: V(z0) sum mu(d) n_d / L plus the sum over
-    p of V(p) S_p / L, S_p the sum of n_d over sigma divisors of least prime
-    p, with V(p) read off one running product that ends at V(z).
+    leaves a one-sided bound.  Every count is read off ``reader(sifting_primes(z))``,
+    a block of rho divisors in one gather and the sigma divisors of a block
+    in one gather per least prime.  The density analogue is checked in
+    exact rationals alongside, summed in ints over omega(d)/d = n_d/L
+    (``DivisorTerms``): V(z0) sum mu(d) n_d / L plus the sum over p of
+    V(p) S_p / L, S_p the sum of n_d over sigma divisors of least prime p,
+    with V(p) read off one running product that ends at V(z).
     """
     if not 2 <= z0 <= z:
         raise ValueError("need 2 <= z0 <= z")
     primes = problem.sifting_primes(z, z0)
     prof = problem.reader(problem.sifting_primes(z))
     lhs = prof.sift_count(z)
-    L, n_of = density_numerators(problem.density, primes)
+    terms = problem.divisor_terms(primes)
     rho_sum = sigma_sum = n_rho = 0
     n_sigma = dict.fromkeys(primes, 0)
-    for tag, d, factors, mu in weight_walk(primes, weights):
-        if tag == "rho":
-            rho_sum += mu * prof.sift_count(z0, factors)
-            n_rho += mu * n_of(factors)
-        else:
-            sigma_sum += prof.sift_count(factors[-1], factors)
-            n_sigma[factors[-1]] += n_of(factors)
+    for kept, boundary in squarefree_masks(primes, level=weights):
+        mu = mask_mobius(kept)
+        rho_sum += int(np.dot(mu, prof.sift_masks(z0, primes, kept)))
+        n_rho += int(np.dot(mu, terms.numerators(kept)))
+        for p, group in _by_least(primes, boundary):
+            sigma_sum += int(prof.sift_masks(p, primes, group).sum())
+            n_sigma[p] += int(terms.numerators(group).sum())
     sign = (-1) ** weights.r
     rhs = rho_sum + sign * sigma_sum
     v = density_product(problem.density, z0)  # V(p) on reaching each p below, V(z) after the loop
-    v_rhs = v * Fraction(n_rho, L)
+    v_rhs = v * Fraction(n_rho, terms.L)
     ps = small_primes(z)
     for p in ps[bisect_left(ps, z0):]:
-        v_rhs += sign * v * Fraction(n_sigma.get(p, 0), L)
+        v_rhs += sign * v * Fraction(n_sigma.get(p, 0), terms.L)
         v *= 1 - problem.density.omega(p) / p
     bound_holds = sign * (lhs - rho_sum) >= 0
     return IdentityReport(
@@ -228,41 +207,6 @@ def rosser_identity(problem: SieveProblem, z0: int, z: int, weights: RosserWeigh
             "v_rhs": v_rhs,
         },
     )
-
-
-def truncation_inequality_check(D: float, beta: float, r: int, z: int) -> dict:
-    """Level-margin inequalities for every kept divisor of P(z), z^2 <= D.
-
-    Kept d: (1/2) ((beta-1)/(beta+1))^(nu/2) log D < log(D/d).
-    Discarded boundary d additionally pins log(D/d) + log p(d) into
-    ((1/2) ((beta-1)/(beta+1))^((nu-1)/2) log D, (beta+1) log p(d)].
-    """
-    if z * z > D:
-        raise ValueError("requires z^2 <= D")
-    weights = RosserWeightTable(D=D, beta=beta, r=r)
-    ratio = (beta - 1) / (beta + 1)
-    log_D = math.log(D)
-    checked = failures = 0
-    checked_sigma = failures_sigma = 0
-    for tag, d, factors, _mu in weight_walk(small_primes(z), weights):
-        if tag == "rho":
-            checked += 1
-            if not 0.5 * ratio ** (len(factors) / 2) * log_D < math.log(D / d):
-                failures += 1
-        else:
-            checked_sigma += 1
-            mid = math.log(D / d) + math.log(factors[-1])
-            lo = 0.5 * ratio ** ((len(factors) - 1) / 2) * log_D
-            hi = (beta + 1) * math.log(factors[-1])
-            if not (lo < mid <= hi):
-                failures_sigma += 1
-    return {
-        "kept_checked": checked,
-        "kept_failures": failures,
-        "boundary_checked": checked_sigma,
-        "boundary_failures": failures_sigma,
-        "holds": failures == 0 and failures_sigma == 0,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +319,7 @@ def linear_sieve_bound(problem: SieveProblem, z: int, D: float, r: int) -> Bound
     main = functions.phi(r, tau) * float(density_product(problem.density, z) * problem.X)
     weights = RosserWeightTable(D=D, beta=2.0, r=r)
     primes = problem.sifting_primes(z)
-    kept = ((d, factors, mu) for tag, d, factors, mu in weight_walk(primes, weights) if tag == "rho")
-    _, rem = divisor_tally(problem, primes, kept)
+    _, rem = divisor_tally(problem, primes, squarefree_masks(primes, level=weights))
     direction = "upper" if r == 1 else "lower"
     bound = main + float(rem) if r == 1 else main - float(rem)
     return BoundReport(
@@ -436,13 +379,11 @@ def parity_extremal(x: int, z: int, r: int) -> ParityExtremalReport:
     # every z in the window reads one shared profile; a wider one lives for this call only
     prof = _parity_window(x, r) if z <= _PROFILE_Z else problem.reader(primes)
     exact = prof.sift_count(z)
-    rho_sum = 0
-    sigma_sum = 0
-    for tag, d, factors, mu in weight_walk(primes, weights):
-        if tag == "rho":
-            rho_sum += mu * prof.count_multiple(factors)
-        else:
-            sigma_sum += prof.sift_count(factors[-1], factors)
+    rho_sum = sigma_sum = 0
+    for kept, boundary in squarefree_masks(primes, level=weights):
+        rho_sum += int(np.dot(mask_mobius(kept), prof.count_masks(primes, kept)))
+        for p, group in _by_least(primes, boundary):
+            sigma_sum += int(prof.sift_masks(p, primes, group).sum())
     functions = default_sieve_functions()
     tau = math.log(x) / math.log(z)
     denom = (x / 2) * functions.phi(r, min(tau, float(functions.taus[-1]))) * float(
@@ -521,8 +462,8 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
     with A = {N - p : p < N}, U = N^(1/10), V = N^(1/3).  The inequality
     left >= rhs is the checked assertion, and every term is an exact count:
 
-    * |S(A, U)| and the p1 terms scan the values N - p, one ``% p`` pass
-      per prime below U and per p1;
+    * |S(A, U)| scans the values N - p, one ``% p`` pass per prime below
+      U, and the p1 terms scan its survivors, one ``% p1`` pass per p1;
     * a survivor N - p = p1 p2 q of the triple sum has no prime factor
       below U, and p1 >= U, p2 >= V > U, so its cofactor q is a prime at
       least U; the sum counts the primes q in [U, N / (p1 p2)) with
@@ -549,10 +490,8 @@ def chen_decomposition(N: int, table: PrimeTable) -> ChenReport:
     T1 = int(np.count_nonzero(survivors))
     lo, hi = np.searchsorted(table.primes, [math.ceil(U), math.ceil(V)])  # int bounds: no float copy of the table
     window = [int(p) for p in table.primes[lo:hi]]
-    T2 = Fraction(0)
-    for p1 in window:
-        T2 += int(np.count_nonzero(survivors & (values % p1 == 0)))
-    T2 = T2 / 2
+    rough = values[survivors]
+    T2 = Fraction(sum(int(np.count_nonzero(rough % p1 == 0)) for p1 in window), 2)
     T3 = 0
     for p1 in window:
         # p2 < sqrt(N / p1) exactly when p2 <= isqrt((N - 1) // p1)

@@ -6,6 +6,7 @@ Each one is the plain textbook definition, sharing no code path with
 
 import cmath
 import math
+from itertools import combinations
 from fractions import Fraction
 from functools import lru_cache
 
@@ -130,6 +131,81 @@ def _problem_divisibility(problem):
 def reference_sift_count(problem, w, d_primes):
     """|S(A_d, w)|, w a prime below 64, from the problem's values (their masks kept for the last problem asked)."""
     return masked_sift_count(_problem_divisibility(problem), w, d_primes)
+
+
+# -- divisor walks -------------------------------------------------------------
+
+
+def combination_walk(primes, max_nu):
+    """(d, factors, mu) for each product d of at most ``max_nu`` of ``primes``, factors taken in descending order."""
+    ps = sorted(primes, reverse=True)
+    for k in range(min(max_nu, len(ps)) + 1):
+        for factors in combinations(ps, k):
+            yield math.prod(factors), factors, (-1) ** k
+
+
+def level_ok(value, p, D, beta):
+    """The Rosser level test value * p^beta < D: exact in integers for integral beta, else in floats."""
+    if float(beta).is_integer():
+        return value * p ** int(beta) < D
+    return value * p**beta < D
+
+
+def eta_walk(primes, D, beta, r):
+    """The recursive eta walk: ("rho", d, factors, mu) per kept divisor, ("sigma", d, factors, 0) per boundary one.
+
+    Factors are taken in descending order.  A prefix of nu primes, nu = r mod 2,
+    whose value times its least prime to the beta fails to stay below D is a
+    boundary divisor and is not extended; every other prefix is kept and extended
+    by each smaller prime.
+    """
+    ps = sorted(primes, reverse=True)
+
+    def rec(start, value, factors):
+        yield "rho", value, factors, (-1) ** len(factors)
+        for j in range(start, len(ps)):
+            p = ps[j]
+            child, grown = value * p, factors + (p,)
+            if len(grown) % 2 != r % 2 or level_ok(child, p, D, beta):
+                yield from rec(j + 1, child, grown)
+            else:
+                yield "sigma", child, grown, 0
+
+    yield from rec(0, 1, ())
+
+
+def truncation_inequality_check(D, beta, r, z):
+    """Level-margin inequalities for every kept divisor of P(z), z^2 <= D, over the ``eta_walk``.
+
+    Kept d: (1/2) ((beta-1)/(beta+1))^(nu/2) log D < log(D/d).
+    Discarded boundary d additionally pins log(D/d) + log p(d) into
+    ((1/2) ((beta-1)/(beta+1))^((nu-1)/2) log D, (beta+1) log p(d)].
+    """
+    if z * z > D:
+        raise ValueError("requires z^2 <= D")
+    ratio = (beta - 1) / (beta + 1)
+    log_D = math.log(D)
+    checked = failures = 0
+    checked_sigma = failures_sigma = 0
+    for tag, d, factors, _mu in eta_walk(plain_sieve(z).tolist(), D, beta, r):
+        if tag == "rho":
+            checked += 1
+            if not 0.5 * ratio ** (len(factors) / 2) * log_D < math.log(D / d):
+                failures += 1
+        else:
+            checked_sigma += 1
+            mid = math.log(D / d) + math.log(factors[-1])
+            lo = 0.5 * ratio ** ((len(factors) - 1) / 2) * log_D
+            hi = (beta + 1) * math.log(factors[-1])
+            if not (lo < mid <= hi):
+                failures_sigma += 1
+    return {
+        "kept_checked": checked,
+        "kept_failures": failures,
+        "boundary_checked": checked_sigma,
+        "boundary_failures": failures_sigma,
+        "holds": failures == 0 and failures_sigma == 0,
+    }
 
 
 # -- density products ---------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sievekit.arith import BudgetError, primes_up_to, small_primes
@@ -13,7 +14,7 @@ from sievekit.legendre import (
     legendre_decompose,
     mertens_compare,
 )
-from sievekit.problem import SiftingDensity, build_problem, density_numerators, exact_sift
+from sievekit.problem import DivisorTerms, SiftingDensity, build_problem, exact_sift
 
 from reference import density_factors, plain_sieve
 
@@ -59,9 +60,12 @@ def test_density_products_match_per_prime_chain(name):
             chain *= float(f)
         assert density_product_float(density, z).hex() == chain.hex(), z
         primes = tuple(plain_sieve(z).tolist())
-        L, n = density_numerators(density, primes)
-        assert [Fraction(n((p,)), L) for p in primes] == [1 - f for f in factors], z
-        assert Fraction(n(primes), L) == math.prod((1 - f for f in factors), start=Fraction(1)), z
+        terms = DivisorTerms(density, primes)
+        masks = np.array([1 << i for i in range(len(primes))] + [(1 << len(primes)) - 1],
+                         dtype=np.int64 if len(primes) < 63 else object)
+        *each, every = (Fraction(n, terms.L) for n in terms.numerators(masks))
+        assert each == [1 - f for f in factors], z
+        assert every == math.prod((1 - f for f in factors), start=Fraction(1)), z
 
 
 def test_decompose_interval_30():

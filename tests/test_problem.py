@@ -1,11 +1,13 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sievekit import problem
 from sievekit.arith import BudgetError, mobius, small_primes
 from sievekit.problem import (
     ORACLE_ELEMENT_CAP,
@@ -20,15 +22,16 @@ from sievekit.problem import (
     _lut_runs,
     build_problem,
     count_in_class,
-    divisor_walk,
     exact_sift,
     factor_count_sieve,
+    mask_mobius,
     problem_from_config,
+    squarefree_masks,
 )
 
 from reference import (
-    brute_sift, class_histogram, class_survivors, count_multiples, factor_count_reference, plain_sieve, survivors,
-    value_histogram_per_prime,
+    brute_sift, class_histogram, class_survivors, combination_walk, count_multiples, factor_count_reference, plain_sieve,
+    survivors, value_histogram_per_prime,
 )
 
 
@@ -615,30 +618,48 @@ def test_profile_budget_guard_before_allocation():
         assert peak < 1 << 16, (prob.kind, peak)
 
 
-def test_divisor_walk_refuses_before_any_divisor():
+def test_walker_refuses_before_any_divisor():
     primes = small_primes(102)  # 26 primes
     # sum of C(26, k) over k <= 12 is 28 354 132, within the 2^25 cap; k <= 13 passes it
-    divisor_walk(primes, max_nu=12)
+    next(squarefree_masks(primes, max_nu=12))
     for max_nu in (13, 26, 10**9):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError):
-                next(iter(divisor_walk(primes, max_nu=max_nu)))
+                next(squarefree_masks(primes, max_nu=max_nu))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16, (max_nu, peak)
-    divisor_walk(primes[1:], max_nu=25)  # all 2^25 products of 25 primes: exactly the cap
+    next(squarefree_masks(primes[1:], max_nu=25))  # all 2^25 products of 25 primes: exactly the cap
+
+
+def test_level_walk_refuses_before_passing_the_cap(monkeypatch):
+    # a pruned walk cannot be counted in advance: it refuses before the block that would pass the cap
+    monkeypatch.setattr(problem, "DIVISOR_CAP", 1000)
+    level = SimpleNamespace(beta=2.0, D=1e12, r=0)  # 25 primes: 1 + 25 + 300 divisors, then 2300 more
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            for _ in squarefree_masks(small_primes(100), level=level):
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 @pytest.mark.parametrize("n", range(13))
-def test_divisor_walk_yields_each_truncated_divisor_once(n):
-    primes = small_primes(40)[:n][::-1][1::2] + small_primes(40)[:n][::-1][::2]  # any order
+def test_walker_yields_each_truncated_divisor_once(n):
+    primes = small_primes(40)[:n]
     for max_nu in range(n + 2):
-        items = list(divisor_walk(primes, max_nu=max_nu))
+        walk = list(squarefree_masks(primes, max_nu=max_nu))
+        assert not any(len(boundary) for _, boundary in walk)
+        items = [(m, mu) for kept, _ in walk for m, mu in zip(kept.tolist(), mask_mobius(kept).tolist())]
         assert len(items) == sum(math.comb(n, k) for k in range(max_nu + 1))
-        assert len({d for d, _, _ in items}) == len(items)
-        for d, factors, mu in items:
-            assert math.prod(factors) == d and len(factors) <= max_nu
-            assert list(factors) == sorted(factors, reverse=True)
-            assert mu == mobius(d)
+        assert len({m for m, _ in items}) == len(items)
+        by_mask = {sum(1 << primes.index(p) for p in factors): (d, mu)
+                   for d, factors, mu in combination_walk(primes, max_nu)}
+        for m, mu in items:
+            d, want = by_mask[m]
+            assert mu == want == mobius(d)

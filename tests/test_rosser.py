@@ -27,12 +27,13 @@ from sievekit.rosser import (
     parity_extremal,
     rosser_identity,
     solve_sieve_functions,
-    truncation_inequality_check,
     twin_constant,
-    weight_walk,
 )
 
-from reference import divisibility, factor_count_reference, masked_sift_count, reference_sift_count
+from reference import (
+    divisibility, eta_walk, factor_count_reference, masked_sift_count, reference_sift_count,
+    truncation_inequality_check,
+)
 
 
 # -- weight tables ----------------------------------------------------------
@@ -215,7 +216,7 @@ def reference_rosser_identity(problem, z0, z, weights):
     rho_sum = sigma_sum = 0
     v0 = v_sigma = Fraction(0)
     dens = problem.density
-    for tag, d, factors, mu in weight_walk(primes, weights):
+    for tag, d, factors, mu in eta_walk(primes, weights.D, weights.beta, weights.r):
         w_d = dens.omega_d(factors)
         if tag == "rho":
             rho_sum += mu * reference_sift_count(problem, z0, factors)
@@ -458,7 +459,7 @@ def test_parity_extremal_sigma_terms_above_window_match_oracle_calls(z):
         masks = divisibility(prob.values(), small_primes(z))
         weights = RosserWeightTable(D=float(x), beta=2.0, r=r)
         want = 0
-        for tag, _, f, _ in weight_walk(small_primes(z), weights):
+        for tag, _, f, _ in eta_walk(small_primes(z), weights.D, weights.beta, weights.r):
             if tag == "sigma":
                 want += masked_sift_count(masks, f[-1], f)
         rep = parity_extremal(x, z, r)
