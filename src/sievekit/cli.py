@@ -49,7 +49,7 @@ PROBLEM_FLAGS = {"interval": ("x", "y"), "twin": ("x",), "goldbach": ("N",), "sh
                  "progression": ("x", "k", "l"), "parity": ("x", "r")}
 
 # Most entries one lsieve trial may hold in an array.  --Q draws about 0.3 Q^2 Farey points and
-# phase tables of under Q^2; --N draws vectors of N and character tables of under 30 N (q < 30).
+# phase tables of under Q^2; --N draws vectors of N.
 LSIEVE_CAP = 1 << 20
 
 # The exponent stays under five digits, so a flag cannot ask for an integer
@@ -138,7 +138,7 @@ def cmd_lsieve(args) -> int:
     least_N = {"hilbert": 0, "linnik": 10, "duality": 10, "all": 10}.get(args.suite, 4)  # the shortest vector drawn
     if args.N < least_N:
         raise ValueError(f"lsieve --suite {args.suite} needs --N >= {least_N}, got {args.N}")
-    for flag, value, entries in (("--Q", args.Q, args.Q**2), ("--N", args.N, 30 * args.N)):
+    for flag, value, entries in (("--Q", args.Q, args.Q**2), ("--N", args.N, args.N)):
         if entries > LSIEVE_CAP:
             raise BudgetError(f"lsieve {flag} {value} asks for arrays of up to {entries} entries, past {LSIEVE_CAP}")
     rng = np.random.default_rng(args.seed)

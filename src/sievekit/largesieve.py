@@ -3,7 +3,10 @@
 Covers the abstract Hilbert-space inequality, the additive forms over
 well-separated points (Farey fractions in particular), the prime-frequency
 energy identity behind the earliest duality argument, and the
-multiplicative form over primitive Dirichlet characters via Gauss sums.
+multiplicative form over primitive Dirichlet characters.  The characters
+mod q live on the discrete-log lattice of the units (``_lattice``): the
+multiplicative form takes one FFT over it per modulus, and the dense
+character tables with conductors and Gauss sums are built from it.
 
 Inequalities are checked strictly after a 1e-12 relative slack guard, so
 rounding can never produce a spurious violation; identities use a 1e-9
@@ -13,14 +16,15 @@ relative tolerance.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import accumulate, repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import BudgetError, divisors, euler_phi, factorize
+from .arith import BudgetError, euler_phi, factorize
 from .problem import _LUT_MODULUS, _add_periodic
 
 IDENT_RTOL = 1e-9
@@ -141,8 +145,9 @@ def dual_ls_check(points: SeparatedPoints, point_coefficients, M: int, N: int) -
     """Interval-side energy of a point-supported polynomial, same constant.
 
     Period vectors add into a run table of modulus m = lcm of their widths;
-    a vector that would take m past ``_LUT_MODULUS`` (2^18) starts a new run,
-    so each run, not each denominator, makes one pass over N.
+    a vector that would take m past min(2^18, N) starts a new run, so each
+    run, not each denominator, makes one pass over N.  (``_LUT_MODULUS`` is
+    2^18; a run wider than N would cost more to fill than the pass it saves.)
     """
     b = np.asarray(point_coefficients, dtype=complex)
     if len(b) != len(points.points):
@@ -152,7 +157,7 @@ def dual_ls_check(points: SeparatedPoints, point_coefficients, M: int, N: int) -
     for rows, table in _phase_groups(points, M, N):
         w = table.shape[1]
         m = math.lcm(len(run), w)
-        if m > _LUT_MODULUS:
+        if m > min(_LUT_MODULUS, N):
             _add_periodic(values, run, M)
             run = np.zeros(w, dtype=complex)
         elif m > len(run):
@@ -235,9 +240,6 @@ def linnik_identity_check(indicator, p: int, theta: float, M: int = 0, *, omega_
 # Dirichlet characters
 
 CHARACTER_MODULUS_CAP = 1000
-# Bytes of character tables kept for reuse: every q < 150 (16.5 MB) fits,
-# as does any single table up to the cap (24 MB at q = 997).
-CHARACTER_CACHE_BYTES = 64 << 20
 
 
 def _unit_group(q: int) -> tuple[list[int], list[int]]:
@@ -314,85 +316,77 @@ class CharacterTable:
     def chi(self, j: int, n: int) -> complex:
         return self.values[j, n % self.q]
 
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.exponents, self.values, self.conductors, self.gauss_sums))
 
+class _Lattice(NamedTuple):
+    """The discrete-log lattice of the units mod q; arrays are read-only.
 
-class _TableCache:
-    """Character tables by q, least recently used first, holding at most ``max_bytes`` of arrays.
-
-    A table larger than the whole bound is returned but not kept.
+    Index k (C order over ``orders``) is the unit prod g_i^(k_i) of
+    ``_unit_group``'s generators and the character chi_k with
+    chi_k(g_i) = e(k_i / orders[i]); q <= 2 has the one cyclic order 1.
     """
 
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._tables: OrderedDict[int, CharacterTable] = OrderedDict()
-
-    def get(self, q: int, build) -> CharacterTable:
-        table = self._tables.get(q)
-        if table is not None:
-            self._tables.move_to_end(q)
-            return table
-        table = build(q)
-        if table.nbytes <= self.max_bytes:
-            self._tables[q] = table
-            self.nbytes += table.nbytes
-            while self.nbytes > self.max_bytes:
-                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
-        return table
-
-    def clear(self) -> None:
-        self._tables.clear()
-        self.nbytes = 0
+    orders: tuple[int, ...]
+    units: np.ndarray
+    conductors: np.ndarray
 
 
-_character_tables = _TableCache(CHARACTER_CACHE_BYTES)
+def _local_conductors(p: int, e: int) -> np.ndarray:
+    """Conductors of the characters mod p^e, on the lattice of p^e's ``_unit_group`` components.
+
+    On a cyclic component of order p^(e-1) h the units = 1 mod p^f make the
+    subgroup of order p^(e-f), on which chi_k is trivial exactly when
+    p^(e-f) | k; so chi_k has conductor p^(e - v_p(k)), and 1 at k = 0.  For
+    2^e, e >= 3, that holds on the component of 5 (h = 1/2), and the
+    component of -1 needs 4, as -1 is not 1 mod 4; the larger power wins.
+    """
+    if p == 2 and e == 1:
+        return np.ones(1, dtype=np.int64)
+    order = euler_phi(p**e) if p > 2 else 2 ** (e - 2)
+    k = np.arange(order)
+    f = np.full(order, p**e, dtype=np.int64)
+    for j in range(1, e):
+        f[k % p**j == 0] //= p
+    f[0] = 1
+    if p > 2:
+        return f
+    return np.maximum.outer(np.array([1, 4], dtype=np.int64), f).ravel()
 
 
-def character_table(q: int) -> CharacterTable:
-    """The full character group mod q, cached up to CHARACTER_CACHE_BYTES of tables."""
+@cache
+def _lattice(q: int) -> _Lattice:
+    """Orders, units and conductors of the characters mod q, for 1 <= q <= CHARACTER_MODULUS_CAP.
+
+    The conductor of a character is the product of its components' local
+    conductors, read off the index; no divisor of q is tried.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
     if q > CHARACTER_MODULUS_CAP:
         raise BudgetError(f"modulus {q} above character budget {CHARACTER_MODULUS_CAP}")
-    return _character_tables.get(q, _build_character_table)
-
-
-# the functools cache interface, so code that empties every cache reaches this one
-character_table.cache_clear = _character_tables.clear
-
-
-def _build_character_table(q: int) -> CharacterTable:
-    """Build the full character group mod q from the discrete-log lattice of its units."""
-    if q == 1:
-        exps = np.zeros((1, 1), dtype=np.int64)
-        vals = np.ones((1, 1), dtype=complex)
-        return CharacterTable(1, exps, vals, 1, np.array([1]), np.array([1.0 + 0j]))
     gens, orders = _unit_group(q)
-    e = math.lcm(*orders) if orders else 1
-    # the unit lattice: row k of L holds the discrete logs of units[k]; the
-    # characters are indexed by the same lattice
-    L = np.array(list(product(*(range(order) for order in orders))), dtype=np.int64)
-    units = np.ones(len(L), dtype=np.int64)
-    for i, (g, order) in enumerate(zip(gens, orders)):
-        powers = np.array([pow(g, k, q) for k in range(order)], dtype=np.int64)
-        units = units * powers[L[:, i]] % q
-    assert len(units) == euler_phi(q)
-    unit_exps = (L * (e // np.array(orders, dtype=np.int64))) @ L.T % e
+    units = np.array([1 % q], dtype=np.int64)
+    for g, order in zip(gens, orders):
+        powers = list(accumulate(repeat(g, order - 1), lambda x, y: x * y % q, initial=1))
+        units = (units[:, None] * np.array(powers, dtype=np.int64) % q).ravel()
+    conductors = np.ones(1, dtype=np.int64)
+    for p, e in factorize(q):
+        conductors = np.multiply.outer(conductors, _local_conductors(p, e)).ravel()
+    for arr in (units, conductors):
+        arr.setflags(write=False)
+    return _Lattice(tuple(orders) or (1,), units, conductors)
+
+
+def character_table(q: int) -> CharacterTable:
+    """The full character group mod q, from its discrete-log lattice."""
+    orders, units, conductors = _lattice(q)
+    e = math.lcm(*orders)
+    L = np.indices(orders).reshape(len(orders), -1).T
     exps = np.full((len(units), q), -1, dtype=np.int64)
-    exps[:, units] = unit_exps
-    roots = np.exp(2j * np.pi * np.arange(e) / e)
-    vals = np.where(exps >= 0, roots[np.maximum(exps, 0)], 0.0)
-    # conductor: the least f | q on whose units n = 1 (mod f) the character is trivial
-    conductors = np.full(len(units), q, dtype=np.int64)
-    for f in reversed(divisors(q)[:-1]):
-        trivial = np.all(unit_exps[:, (units - 1) % f == 0] == 0, axis=1)
-        conductors[trivial] = f
-    phases = np.exp(2j * np.pi * np.arange(q) / q)
-    gauss = vals @ phases
-    return CharacterTable(q, exps, vals, e, conductors, gauss)
+    exps[:, units] = (L * (e // np.array(orders))) @ L.T % e
+    # exponent -1 (a non-unit) reads the 0 appended past the roots
+    vals = np.append(np.exp(2j * np.pi * np.arange(e) / e), 0)[exps]
+    gauss = vals @ np.exp(2j * np.pi * np.arange(q) / q)
+    return CharacterTable(q, exps, vals, e, conductors.copy(), gauss)
 
 
 def multiplicative_ls_check(Q: int, coefficients, M: int = 0) -> tuple[float, float]:
@@ -401,41 +395,26 @@ def multiplicative_ls_check(Q: int, coefficients, M: int = 0) -> tuple[float, fl
     lhs = sum over q < Q of (q/phi(q)) sum over primitive chi mod q of
     |sum_n a_n chi(n)|^2.  The modulus q = 1 contributes the trivial
     character with weight 1 (its conductor is 1, hence primitive here).
+    Per modulus the coefficients fold onto residues, A(r) = sum over
+    n = r (mod q) of a_n with M reduced exactly, and one FFT of A over the
+    units' lattice gives every character sum, each at the conjugate
+    character, which has the same conductor.
     """
     a = np.asarray(coefficients, dtype=complex)
     N = len(a)
-    n = np.arange(M, M + N)
     lhs = 0.0
     for q in range(1, Q):
-        table = character_table(q)
-        prim = np.nonzero(table.primitive)[0]
-        if len(prim) == 0:
+        orders, units, conductors = _lattice(q)
+        prim = conductors == q
+        if not prim.any():
             continue
-        chi_vals = table.values[np.ix_(prim, n % q)]
-        sums = chi_vals @ a
-        lhs += q / euler_phi(q) * float(np.sum(np.abs(sums) ** 2))
+        # a_n at n mod q, padded to whole periods (np.pad's set-up would cost more than the fold)
+        lead, tail = np.zeros(M % q), np.zeros(-(M % q + N) % q)
+        folded = np.concatenate((lead, a, tail)).reshape(-1, q).sum(axis=0)
+        sums = np.fft.fftn(folded[units].reshape(orders)).ravel()[prim]
+        lhs += q / len(units) * np.vdot(sums, sums).real
     rhs = float((N - 1 + Q * Q) * np.sum(np.abs(a) ** 2))
-    return lhs, rhs
-
-
-def character_sum_via_gauss(table: CharacterTable, j: int, coefficients, M: int = 0) -> complex:
-    """Evaluate sum a_n chi(n) through the additive-character expansion.
-
-    Valid for primitive chi: chi(n) = (1/tau(conj chi)) sum_a conj(chi)(a) e(an/q).
-    """
-    if table.conductors[j] != table.q:
-        raise ValueError("gauss expansion requires a primitive character")
-    q = table.q
-    a = np.asarray(coefficients, dtype=complex)
-    n = np.arange(M, M + len(a))
-    chi_bar = np.conj(table.values[j])
-    tau_bar = np.sum(chi_bar * np.exp(2j * np.pi * np.arange(q) / q))
-    total = 0j
-    for r in range(q):
-        if chi_bar[r] == 0:
-            continue
-        total += chi_bar[r] * np.sum(a * np.exp(2j * np.pi * r * n / q))
-    return complex(total / tau_bar)
+    return float(lhs), rhs
 
 
 def power_iteration_norm(matrix: np.ndarray) -> float:

@@ -266,3 +266,24 @@ def reference_dual_b_values(values, roots):
             points.append(Fraction(a, q))
             b.append(total)
     return points, np.asarray(b, dtype=complex)
+
+
+def character_sum_via_gauss(table, j, coefficients, M=0):
+    """Evaluate sum a_n chi(n) through the additive-character expansion.
+
+    Valid for primitive chi: chi(n) = (1/tau(conj chi)) sum_a conj(chi)(a) e(an/q).
+    ``table`` is any object with ``q``, ``conductors`` and ``values`` rows.
+    """
+    if table.conductors[j] != table.q:
+        raise ValueError("gauss expansion requires a primitive character")
+    q = table.q
+    a = np.asarray(coefficients, dtype=complex)
+    n = np.arange(M, M + len(a))
+    chi_bar = np.conj(table.values[j])
+    tau_bar = np.sum(chi_bar * np.exp(2j * np.pi * np.arange(q) / q))
+    total = 0j
+    for r in range(q):
+        if chi_bar[r] == 0:
+            continue
+        total += chi_bar[r] * np.sum(a * np.exp(2j * np.pi * r * n / q))
+    return complex(total / tau_bar)

@@ -327,8 +327,8 @@ def test_lsieve_refused_past_its_budget_before_allocating(flag, value, capsys):
     assert code == 3 and peak < 1 << 20
     captured = capsys.readouterr()
     assert flag in captured.err and captured.out == ""
-    # the budget's edge: Q^2 and 30 N up to LSIEVE_CAP pass, one more is refused
-    edge = {"--Q": math.isqrt(cli.LSIEVE_CAP), "--N": cli.LSIEVE_CAP // 30}[flag]
+    # the budget's edge: Q^2 and N up to LSIEVE_CAP pass, one more is refused
+    edge = {"--Q": math.isqrt(cli.LSIEVE_CAP), "--N": cli.LSIEVE_CAP}[flag]
     assert main(["lsieve", "--trials", "0", flag, str(edge)]) == 0
     assert main(["lsieve", "--trials", "0", flag, str(edge + 1)]) == 3
 

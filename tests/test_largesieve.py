@@ -8,8 +8,8 @@ from sievekit import largesieve
 from sievekit.arith import BudgetError, euler_phi, small_primes
 from sievekit.largesieve import (
     SeparatedPoints,
+    CHARACTER_MODULUS_CAP,
     additive_ls_check,
-    character_sum_via_gauss,
     character_table,
     dual_ls_check,
     duality_rayleigh,
@@ -22,6 +22,7 @@ from sievekit.largesieve import (
 )
 from sievekit.problem import OmegaForm, ResidueSystem, build_problem
 from sievekit.selberg import dual_b_values, optimal_lambda
+from reference import character_sum_via_gauss
 
 
 def test_farey_examples():
@@ -199,12 +200,13 @@ def _dual_route_case(kind, params, z):
 def test_folded_dual_matches_per_denominator_gathers():
     rng = np.random.default_rng(13)
     cases = [
-        _dual_route_case("twin", {"x": 20000}, 45),  # 444 points, runs past 2^18 restart
+        _dual_route_case("twin", {"x": 20000}, 45),  # 444 points, runs held to lcm <= N
         _dual_route_case("goldbach", {"N": 10030}, 30),
         _dual_route_case("interval", {"x": 10**30, "y": 1000}, 10),  # M near 10^30
         _dual_route_case("interval", {"x": 10**30, "y": 5}, 10),  # q >= N past 2^63
     ]
-    for Q, M, N in ((10, 0, 40), (12, -1000, 257), (23, 5, 7), (40, -37, 1)):  # M = 0, negative M, q >= N
+    # M = 0, negative M, q >= N, and 30 runs over 490 points at N = 300
+    for Q, M, N in ((10, 0, 40), (12, -1000, 257), (23, 5, 7), (40, -37, 1), (40, 3, 300)):
         pts = farey_points(Q)
         cases.append((pts, rng.normal(size=len(pts.points)) + 1j * rng.normal(size=len(pts.points)), M, N))
     floats = SeparatedPoints((0.1, 0.25, 0.6180339887, 0.75), 0.1)
@@ -416,6 +418,55 @@ def test_character_table_matches_reference():
             assert got.dtype == want.dtype and np.array_equal(got, want), q
 
 
+def test_lattice_conductors_match_reference():
+    # the index rule against the per-character scan, at moduli up to the cap:
+    # 2 || q, 2^k, odd prime powers, primes and mixed q
+    for q in (2, 6, 8, 128, 210, 243, 250, 256, 343, 500, 512, 625, 686, 720, 729, 997, 1000):
+        want = character_table_reference(q)[2]
+        got = largesieve._lattice(q).conductors
+        assert got.dtype == want.dtype and np.array_equal(got, want), q
+
+
+def table_product_lhs(Q, cases):
+    """The multiplicative lhs of each (a, M) in ``cases`` by the dense character tables.
+
+    Sum over q < Q of (q/phi(q)) |values[primitive][:, n % q] @ a|^2, with n
+    reduced mod q in Python ints; one table is held at a time.
+    """
+    totals = [0.0] * len(cases)
+    for q in range(1, Q):
+        t = character_table(q)
+        chi = t.values[t.primitive]
+        for i, (a, M) in enumerate(cases):
+            n = (M % q + np.arange(len(a))) % q
+            totals[i] += q / euler_phi(q) * float(np.sum(np.abs(chi[:, n] @ a) ** 2))
+    return totals
+
+
+def test_multiplicative_ls_matches_table_product():
+    # Q = 400 covers 2 || q, 4, 8, 2^7, 3^5, 5^3, 7^2 and mixed moduli
+    rng = np.random.default_rng(29)
+    for Q in (2, 3, 30, 150, 400):
+        cases = [(rng.normal(size=N) + 1j * rng.normal(size=N), M)
+                 for N in (max(Q // 3, 1), Q + 5) for M in (-500, 0, 7, 2**63 + 5)]
+        for (a, M), want in zip(cases, table_product_lhs(Q, cases)):
+            lhs, rhs = multiplicative_ls_check(Q, a, M)
+            assert lhs == pytest.approx(want, rel=1e-12, abs=0), (Q, len(a), M)
+            assert lhs <= rhs * (1 + 1e-12)
+
+
+def test_multiplicative_ls_huge_start():
+    # starts past int64 reduce exactly mod each q < Q; the lhs depends only on M mod lcm(1..Q-1)
+    a = np.ones(8)
+    period = math.lcm(*range(1, 10))
+    starts = (2**63 - 4, 2**63 + 5, 10**30)
+    wants = table_product_lhs(10, [(a, M) for M in starts])
+    for M, want in zip(starts, wants):
+        lhs, rhs = multiplicative_ls_check(10, a, M)
+        assert (lhs, rhs) == multiplicative_ls_check(10, a, M % period)
+        assert lhs == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_multiplicative_ls_zero_and_boundary():
     lhs, rhs = multiplicative_ls_check(2, np.zeros(10))
     assert lhs == rhs == 0
@@ -468,23 +519,16 @@ def test_duality_rayleigh_agreement():
         assert r1 == pytest.approx(top, rel=1e-6)
 
 
-def test_character_cache_bounded_by_bytes():
-    cache = largesieve._character_tables
-    character_table.cache_clear()
+def test_lattice_cache_bounded():
+    # O(phi(q)) per modulus: every lattice up to the cap, sum phi(q) ~ 3.0e5 entries, stays under 8 MB
+    largesieve._lattice.cache_clear()
     try:
-        first = [character_table(q) for q in range(1, 150)]
-        # the tables multiplicative_ls_check reuses up to Q = 150 all stay
-        assert all(character_table(q) is t for q, t in zip(range(1, 150), first))
-        for q in range(150, 1001):
-            character_table(q)
-            assert cache.nbytes <= largesieve.CHARACTER_CACHE_BYTES
-        assert cache.nbytes == sum(t.nbytes for t in cache._tables.values())
+        lattices = [largesieve._lattice(q) for q in range(1, CHARACTER_MODULUS_CAP + 1)]
+        assert largesieve._lattice.cache_info().currsize == CHARACTER_MODULUS_CAP
+        assert sum(len(lat.units) for lat in lattices) == sum(euler_phi(q) for q in range(1, CHARACTER_MODULUS_CAP + 1))
+        assert sum(lat.units.nbytes + lat.conductors.nbytes for lat in lattices) < 8 << 20
     finally:
-        character_table.cache_clear()
-    # a table larger than the whole bound is returned but evicts nothing
-    small = largesieve._TableCache(character_table(40).nbytes)
-    t40, t41 = (small.get(q, character_table) for q in (40, 41))
-    assert t41.nbytes > t40.nbytes and list(small._tables.items()) == [(40, t40)]
+        largesieve._lattice.cache_clear()
 
 
 def test_character_budget():
